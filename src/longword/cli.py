@@ -26,6 +26,7 @@ from .words import ResourceCapError, count_words
 
 ENUMERATE_CAP = 6
 DP_CAP = 10
+SAMPLE_CAP = 10
 COUNT_CAP = 10
 TABLE_EXACT_CAP = 10
 
@@ -38,9 +39,10 @@ CSV_HEADER = "n,word_count,ec_num,ec_den,ec_float,noncomm_float,asymp_noncomm_fl
 
 _CAPS_NOTE = (
     "caps: count and dp require n <= %d, enumerate requires n <= %d, "
+    "sample requires n <= %d, "
     "exact closed-form rationals stop at n <= %d (floating path beyond), "
     "table rows carry exact columns only for n <= %d"
-    % (DP_CAP, ENUMERATE_CAP, EXACT_CLOSED_CAP, TABLE_EXACT_CAP)
+    % (DP_CAP, ENUMERATE_CAP, SAMPLE_CAP, EXACT_CLOSED_CAP, TABLE_EXACT_CAP)
 )
 
 
@@ -85,8 +87,8 @@ def cmd_expect(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    if not 2 <= args.n <= DP_CAP:
-        return _usage(f"--n must lie in [2, {DP_CAP}], got {args.n}")
+    if not 2 <= args.n <= SAMPLE_CAP:
+        return _usage(f"--n must lie in [2, {SAMPLE_CAP}], got {args.n}")
     if args.trials < 1:
         return _usage(f"--trials must be at least 1, got {args.trials}")
     if args.jobs < 1:
@@ -224,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_expect)
 
     p = sub.add_parser("sample", help="seeded Monte Carlo summary as JSON")
-    p.add_argument("--n", type=int, required=True, help=f"degree, 2..{DP_CAP}")
+    p.add_argument("--n", type=int, required=True, help=f"degree, 2..{SAMPLE_CAP}")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0, help="64-bit seed (default 0)")
     p.add_argument("--jobs", type=int, default=1, help="worker count; output identical for any value")

@@ -1,10 +1,17 @@
 """Exact uniform sampling of reduced words and seeded Monte Carlo estimates.
 
-A word is built left to right.  At each step the current permutation w
-has count(w) reduced words, partitioned by first letter i over the left
-descents into blocks of size count(s_i w).  Drawing a uniform integer
-in [0, count(w)) and selecting the block that brackets it makes every
-complete word exactly equally likely; no rejection, no bias.
+A word is drawn in two steps, with no counting table.  The hook walk of
+Greene, Nijenhuis and Wilf (1979) draws a uniform standard Young
+tableau of the staircase shape (n-1, ..., 1): it picks a uniform cell,
+jumps to a uniform cell of its hook until it lands on a corner, puts
+the largest unused entry there and removes the corner.  The
+Edelman-Greene bijection (1987) then reads a reduced word of the
+longest element off that tableau by promotion: the corner holding the
+largest entry gives the next letter (its row, 1-based), the entry is
+removed, the hole slides back to the top-left cell by jeu de taquin,
+and a new smallest entry fills that cell.  A bijection carries the
+uniform tableau to a uniform word.  Every random integer is drawn
+exactly uniformly by rejection on getrandbits, as randrange does.
 
 Per-trial generators are derived by hashing (seed, trial index) with
 SHA-256 and seeding a Mersenne Twister with the 256-bit digest.  The
@@ -22,9 +29,9 @@ import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
-from .permutations import longest_element
-from .words import CountingSession, Word, word_stats
+from .words import Word, word_stats
 
 
 def trial_generator(seed: int, index: int) -> random.Random:
@@ -36,47 +43,97 @@ def trial_generator(seed: int, index: int) -> random.Random:
     return random.Random(int.from_bytes(key, "big"))
 
 
-def sample_word(
-    n: int,
-    rng: random.Random,
-    session: CountingSession | None = None,
-) -> Word:
+def _hook_walk(n: int, rng: random.Random) -> list[list[int]]:
+    """Uniform standard Young tableau of shape (n-1, ..., 1), as rows."""
+    getrandbits = rng.getrandbits
+    rows = [[0] * (n - 1 - i) for i in range(n - 1)]
+    row_len = [n - 1 - i for i in range(n - 1)]
+    col_len = list(row_len)
+    for m in range(n * (n - 1) // 2, 0, -1):
+        # a uniform cell of the remaining shape, found by a row scan
+        k = m.bit_length()
+        r = getrandbits(k)
+        while r >= m:
+            r = getrandbits(k)
+        i = 0
+        while r >= row_len[i]:
+            r -= row_len[i]
+            i += 1
+        j = r
+        # uniform steps within the hook until the walk stops at a corner
+        while True:
+            arm = row_len[i] - j - 1
+            hook = arm + col_len[j] - i - 1
+            if not hook:
+                break
+            k = hook.bit_length()
+            r = getrandbits(k)
+            while r >= hook:
+                r = getrandbits(k)
+            if r < arm:
+                j += r + 1
+            else:
+                i += r - arm + 1
+        rows[i][j] = m
+        row_len[i] -= 1
+        col_len[j] -= 1
+    return rows
+
+
+def _promotion_word(rows: Sequence[Sequence[int]]) -> Word:
+    """Edelman-Greene word of a standard staircase tableau given as rows.
+
+    Promotion as in the module docstring.  New entries are smaller than
+    every original one, so the originals leave in decreasing order and
+    tracking their positions replaces a search of the corners.
+
+    Entries are stored shifted up by the tableau's size, leaving the
+    values 1..size free for the new smallest entries and 0 for the
+    sentinels on a padding row above and column to the left; cell
+    (i, j) sits at index (i + 1) * n + j + 1, so the slide needs no
+    bounds checks.
+    """
+    n = len(rows) + 1
+    size = n * (n - 1) // 2
+    grid = [0] * (n * n)
+    pos = [0] * (2 * size + 1)
+    for i, row in enumerate(rows):
+        p = (i + 1) * n + 1
+        for v in row:
+            grid[p] = v + size
+            pos[v + size] = p
+            p += 1
+    origin = n + 1
+    letters = []
+    for v in range(2 * size, size, -1):
+        p = pos[v]
+        letters.append(p // n)
+        while p != origin:
+            up = grid[p - n]
+            left = grid[p - 1]
+            if up > left:
+                grid[p] = up
+                pos[up] = p
+                p -= n
+            else:
+                grid[p] = left
+                pos[left] = p
+                p -= 1
+        grid[origin] = v - size
+    return tuple(letters)
+
+
+def sample_word(n: int, rng: random.Random, session: object = None) -> Word:
     """One reduced word of the longest element, exactly uniform.
 
-    Reuses the given counting session; a fresh one is built (and fully
-    warmed) otherwise, which dominates the cost of a single draw.
+    Draws a staircase tableau by the hook walk and maps it to a word by
+    Edelman-Greene promotion; cost is O(n^3) with no set-up.  session
+    is accepted for compatibility with callers that pass a counting
+    session, and ignored.
     """
     if n < 2:
         raise ValueError(f"degree must be at least 2, got {n}")
-    if session is None:
-        session = CountingSession(n)
-    w0 = longest_element(n)
-    remaining = session.count(w0)
-    memo = session._memo
-    w = list(w0)
-    pos = list(range(n, -1, -1))  # pos[v] = index of value v in w0, pos[0] unused
-    letters = []
-    for _ in range(n * (n - 1) // 2):
-        r = rng.randrange(remaining)
-        chosen = 0
-        for i in range(1, n):
-            a, b = pos[i], pos[i + 1]
-            if a > b:
-                # tentatively swap the values i, i+1 and look the child up
-                w[a] = i + 1
-                w[b] = i
-                block = memo[tuple(w)]
-                if r < block:
-                    pos[i], pos[i + 1] = b, a
-                    remaining = block
-                    chosen = i
-                    break
-                r -= block
-                w[a] = i
-                w[b] = i + 1
-        assert chosen, "draw not bracketed; counting table inconsistent"
-        letters.append(chosen)
-    return tuple(letters)
+    return _promotion_word(_hook_walk(n, rng))
 
 
 @dataclass(frozen=True)
@@ -124,26 +181,24 @@ def monte_carlo(
     trials: int,
     seed: int,
     workers: int = 1,
-    session: CountingSession | None = None,
+    session: object = None,
 ) -> SampleSummary:
     """Draw `trials` words and summarize the three statistics.
 
     Bit-identical output for fixed (n, trials, seed) regardless of
     `workers`: trials are indexed, generators are derived per index,
-    and per-chunk exact totals are merged in index order.
+    and per-chunk exact totals are merged in index order.  session is
+    accepted for compatibility and ignored; the sampler needs no table.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    if session is None:
-        session = CountingSession(n)
-    session.count(longest_element(n))  # warm the table before sharing it
 
     def run_chunk(bounds: tuple[int, int]) -> tuple[int, ...]:
         totals = [0] * 6
         for index in range(*bounds):
-            stats = word_stats(sample_word(n, trial_generator(seed, index), session))
+            stats = word_stats(sample_word(n, trial_generator(seed, index)))
             totals[0] += stats.commutations
             totals[1] += stats.noncommuting
             totals[2] += stats.braids

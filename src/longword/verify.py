@@ -236,11 +236,10 @@ def check_sampler(ws: _Workspace, max_n: int) -> CheckResult:
     legs = []
     if max_n >= 4:
         n, draws, seed = 4, 16000, 2024
-        session = ws.session(n)
-        words = list(enumerate_words(longest_element(n), session=session))
+        words = list(enumerate_words(longest_element(n), session=ws.session(n)))
         observed = {word: 0 for word in words}
         for index in range(draws):
-            observed[sample_word(n, trial_generator(seed, index), session)] += 1
+            observed[sample_word(n, trial_generator(seed, index))] += 1
         expected = draws / len(words)
         chi_square = sum((c - expected) ** 2 / expected for c in observed.values())
         if chi_square >= CHI2_15_Q999:
@@ -249,7 +248,7 @@ def check_sampler(ws: _Workspace, max_n: int) -> CheckResult:
             )
         legs.append(f"chi-square(n=4) {chi_square:.2f} < {CHI2_15_Q999}")
     if max_n >= 10:
-        summary = monte_carlo(10, 100_000, seed=42, session=ws.session(10))
+        summary = monte_carlo(10, 100_000, seed=42)
         target = float(expected_commutations(10))
         err = abs(summary.mean_commutations - target)
         if err > 4 * summary.se_commutations:
@@ -304,9 +303,8 @@ def check_worker_independence(ws: _Workspace, max_n: int) -> CheckResult:
     """Identical sample JSON regardless of worker count."""
     name = "sampling is worker-count independent"
     n = min(5, max_n)
-    session = ws.session(n)
     outputs = {
-        sample_json(monte_carlo(n, 200, seed=123, workers=w, session=session))
+        sample_json(monte_carlo(n, 200, seed=123, workers=w))
         for w in (1, 2, 3)
     }
     if len(outputs) != 1:

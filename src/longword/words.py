@@ -113,6 +113,29 @@ def word_stats(letters: Sequence[int]) -> WordStats:
     return WordStats(comm, nonc, braids, asc, desc)
 
 
+def _reach_bound(w: Permutation, cap: int) -> int:
+    """Bound on the permutations the counting recursion reaches from w.
+
+    They are the permutations below w in the left weak order.  Each is
+    fixed by its counts d_a = #{b > a : b stands left of a}, and each
+    count is at most w's, so there are at most prod(d_a(w) + 1) of them
+    (n! for the longest element).  The product is returned as soon as it
+    exceeds cap.  Only a value below the running maximum has d_a > 0 and
+    doubles the product at least, so at most log2(cap) + 1 values are
+    counted by a scan of the prefix.
+    """
+    bound = 1
+    top = 0
+    for p, v in enumerate(w):
+        if v > top:
+            top = v
+            continue
+        bound *= 1 + sum(u > v for u in w[:p])
+        if bound > cap:
+            break
+    return bound
+
+
 class CountingSession:
     """Memoized reduced-word counter for one degree n.
 
@@ -120,7 +143,8 @@ class CountingSession:
     words via the first-letter recursion count(w) = sum of count(s_i w)
     over left descents i.  The table is shared across calls; counting
     the longest element fills it for the whole group, after which every
-    lookup is a read (safe to share between threads).
+    lookup is a read (safe to share between threads).  A query whose
+    fill could pass max_entries raises ResourceCapError before filling.
     """
 
     def __init__(self, n: int, max_entries: int = MAX_MEMO_ENTRIES):
@@ -144,7 +168,16 @@ class CountingSession:
         t = check_permutation(w)
         if len(t) != self.n:
             raise ValueError(f"expected degree {self.n}, got {len(t)}")
+        self._check_fill(t)
         return self._count(t)
+
+    def _check_fill(self, w: Permutation) -> None:
+        """Refuse a fill from w that could exceed the table cap."""
+        if w not in self._memo and _reach_bound(w, self.max_entries) > self.max_entries:
+            raise ResourceCapError(
+                f"counting words of this degree-{self.n} permutation could need "
+                f"more than {self.max_entries} table entries"
+            )
 
     def _count(self, w: Permutation) -> int:
         memo = self._memo
@@ -182,6 +215,7 @@ class CountingSession:
         t = check_permutation(w)
         if len(t) != self.n:
             raise ValueError(f"expected degree {self.n}, got {len(t)}")
+        self._check_fill(t)
         denom = self._count(t)
         if denom == 0:
             raise ValueError(f"{t!r} has no reduced words to condition on")

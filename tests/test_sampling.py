@@ -2,10 +2,18 @@ import math
 
 import pytest
 
-from longword.expectations import expected_commutations
+from longword.expectations import expected_braids, expected_commutations
 from longword.permutations import longest_element
 from longword.render import sample_json
-from longword.sampling import SampleSummary, monte_carlo, sample_word, trial_generator
+from longword.sampling import (
+    SampleSummary,
+    _hook_walk,
+    _promotion_word,
+    monte_carlo,
+    sample_word,
+    trial_generator,
+)
+from longword.tableaux import hook_length_count, staircase
 from longword.words import evaluate, word_stats
 
 
@@ -153,3 +161,59 @@ def test_chi_square_threshold_matches_distribution_quantile():
     from longword.verify import CHI2_15_Q999
 
     assert CHI2_15_Q999 == pytest.approx(stats.chi2.ppf(0.999, 15), abs=1e-9)
+
+
+def staircase_tableaux(n):
+    """Every standard Young tableau of shape (n-1, ..., 1), as row tuples."""
+    shape = list(staircase(n))
+    rows = [[0] * length for length in shape]
+    found = []
+
+    def place(m):
+        if m == 0:
+            found.append(tuple(map(tuple, rows)))
+            return
+        for i, length in enumerate(shape):
+            below = shape[i + 1] if i + 1 < len(shape) else 0
+            if length > below:
+                shape[i] -= 1
+                rows[i][shape[i]] = m
+                place(m - 1)
+                shape[i] += 1
+
+    place(sum(shape))
+    return found
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_promotion_word_is_a_bijection_onto_reduced_words(n, words_of_longest):
+    tableaux = staircase_tableaux(n)
+    assert len(tableaux) == hook_length_count(staircase(n))
+    words = [_promotion_word(rows) for rows in tableaux]
+    assert len(set(words)) == len(words)
+    assert set(words) == set(words_of_longest(n))
+
+
+def test_hook_walk_draws_standard_staircase_tableaux():
+    for n in range(2, 9):
+        size = n * (n - 1) // 2
+        for index in range(20):
+            rows = _hook_walk(n, trial_generator(n, index))
+            assert [len(row) for row in rows] == list(staircase(n))
+            assert sorted(v for row in rows for v in row) == list(range(1, size + 1))
+            for i, row in enumerate(rows):
+                assert all(a < b for a, b in zip(row, row[1:]))
+                if i:
+                    assert all(rows[i - 1][j] < v for j, v in enumerate(row))
+
+
+def test_sample_word_degree_thirty():
+    assert evaluate(30, sample_word(30, trial_generator(30, 0))) == longest_element(30)
+
+
+def test_monte_carlo_degree_twelve_means():
+    summary = monte_carlo(12, 2000, seed=12)
+    err = abs(summary.mean_commutations - float(expected_commutations(12)))
+    assert err <= 4 * summary.se_commutations
+    err = abs(summary.mean_braids - float(expected_braids()))
+    assert err <= 4 * summary.se_braids

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import permutations as iter_permutations
 
@@ -17,6 +18,7 @@ from longword.words import (
     CountingSession,
     NotReducedError,
     ResourceCapError,
+    _reach_bound,
     count_words,
     enumerate_words,
     evaluate,
@@ -107,6 +109,29 @@ def test_count_words_validates_input():
 def test_counting_session_cap():
     with pytest.raises(ResourceCapError):
         CountingSession(5, max_entries=10).count(longest_element(5))
+
+
+def test_oversized_count_is_refused_up_front():
+    started = time.perf_counter()
+    with pytest.raises(ResourceCapError):
+        count_words(longest_element(50))
+    assert time.perf_counter() - started < 1
+
+
+def test_oversized_prefix_probability_is_refused_up_front():
+    started = time.perf_counter()
+    with pytest.raises(ResourceCapError):
+        CountingSession(40).prefix_probability(longest_element(40), (1, 2))
+    assert time.perf_counter() - started < 1
+
+
+@given(st.integers(1, 7).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_fill_stays_within_reach_bound(w):
+    w = tuple(w)
+    bound = _reach_bound(w, 10**9)
+    session = CountingSession(len(w), max_entries=bound)
+    session.count(w)
+    assert session.entries <= bound
 
 
 def count_via_right_descents(w, memo):
