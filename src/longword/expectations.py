@@ -130,6 +130,34 @@ def expected_braids() -> Fraction:
     return Fraction(1)
 
 
+def expected_braids_by_counts(
+    n: int, session: CountingSession | None = None
+) -> Fraction:
+    """Braid-window mean by word counts, independent of expected_braids().
+
+    Equals (ell-2) times the probability that a uniform word starts with
+    j, j+1, j or j+1, j, j+1 for some j.
+
+    >>> expected_braids_by_counts(4)
+    Fraction(1, 1)
+    """
+    if n < 2:
+        raise ValueError(f"degree must be at least 2, got {n}")
+    if session is None:
+        session = CountingSession(n)
+    w0 = longest_element(n)
+    ell = n * (n - 1) // 2
+    window = sum(
+        (
+            session.prefix_probability(w0, (j, j + 1, j))
+            + session.prefix_probability(w0, (j + 1, j, j + 1))
+            for j in range(1, n - 1)
+        ),
+        Fraction(0),
+    )
+    return (ell - 2) * window
+
+
 def _ln_lower_ratio(x: int) -> float:
     # ln((2x-1)!!/(x-1)!)  via  (2x-1)!! = (2x)!/(2^x x!)
     return lgamma(2 * x + 1) - x * _LN2 - lgamma(x + 1) - lgamma(x)

@@ -20,14 +20,11 @@ def float_text(x: float) -> str:
 def json_object(pairs: list[tuple[str, object]]) -> str:
     """One-line JSON object with the given key order.
 
-    Values may be int, float (rendered via float_text), str, None, or a
-    preformatted raw fragment passed as a one-element tuple.
+    Values may be int, float (rendered via float_text), str, or None.
     """
     chunks = []
     for key, value in pairs:
-        if isinstance(value, tuple):
-            text = value[0]
-        elif value is None:
+        if value is None:
             text = "null"
         elif isinstance(value, bool):
             text = "true" if value else "false"

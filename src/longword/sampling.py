@@ -14,10 +14,9 @@ uniform tableau to a uniform word.  Every random integer is drawn
 exactly uniformly by rejection on getrandbits, as randrange does.
 
 Per-trial generators are derived by hashing (seed, trial index) with
-SHA-256 and seeding a Mersenne Twister with the 256-bit digest.  The
-derivation is fixed, so a run split across any number of workers draws
-the identical words for the identical trial indices, and exact integer
-totals make the aggregation order-independent.
+SHA-256 and seeding a Mersenne Twister with the 256-bit digest, so trial
+i of a seeded run draws the same word however the run is batched, and
+the summary is built from exact integer totals.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ import hashlib
 import math
 import random
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -185,41 +183,25 @@ def monte_carlo(
 ) -> SampleSummary:
     """Draw `trials` words and summarize the three statistics.
 
-    Bit-identical output for fixed (n, trials, seed) regardless of
-    `workers`: trials are indexed, generators are derived per index,
-    and per-chunk exact totals are merged in index order.  session is
-    accepted for compatibility and ignored; the sampler needs no table.
+    Bit-identical output for fixed (n, trials, seed): trials are
+    indexed, generators are derived per index, and totals are exact
+    integers.  The draws are pure Python, so threads would not run them
+    faster; workers (at least 1) and session are accepted for
+    compatibility and ignored.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-
-    def run_chunk(bounds: tuple[int, int]) -> tuple[int, ...]:
-        totals = [0] * 6
-        for index in range(*bounds):
-            stats = word_stats(sample_word(n, trial_generator(seed, index)))
-            totals[0] += stats.commutations
-            totals[1] += stats.noncommuting
-            totals[2] += stats.braids
-            totals[3] += stats.commutations**2
-            totals[4] += stats.noncommuting**2
-            totals[5] += stats.braids**2
-        return tuple(totals)
-
-    if workers == 1:
-        chunk_totals = [run_chunk((0, trials))]
-    else:
-        step = -(-trials // workers)
-        bounds = [
-            (start, min(start + step, trials)) for start in range(0, trials, step)
-        ]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunk_totals = list(pool.map(run_chunk, bounds))
-
-    sc, snc, sb, sc2, snc2, sb2 = (
-        sum(chunk[k] for chunk in chunk_totals) for k in range(6)
-    )
+    sc = snc = sb = sc2 = snc2 = sb2 = 0
+    for index in range(trials):
+        stats = word_stats(sample_word(n, trial_generator(seed, index)))
+        sc += stats.commutations
+        snc += stats.noncommuting
+        sb += stats.braids
+        sc2 += stats.commutations**2
+        snc2 += stats.noncommuting**2
+        sb2 += stats.braids**2
     mean_c, se_c = _mean_and_se(sc, sc2, trials)
     mean_n, se_n = _mean_and_se(snc, snc2, trials)
     mean_b, se_b = _mean_and_se(sb, sb2, trials)

@@ -13,10 +13,12 @@ from fractions import Fraction
 
 from .expectations import (
     ASYMPTOTIC_COEFFICIENT,
+    expectation_report,
     expected_braids,
+    expected_braids_by_counts,
     expected_commutations,
-    expected_noncommuting,
     expected_noncommuting_float,
+    proportions,
 )
 from .permutations import (
     is_vexillary,
@@ -110,14 +112,7 @@ def check_commutation_mean_dp(ws: _Workspace, max_n: int) -> CheckResult:
     name = "commutation mean by word-count recursion (n 7..9)"
     seen = []
     for n in range(7, min(9, max_n) + 1):
-        session = ws.session(n)
-        w0 = longest_element(n)
-        ell = n * (n - 1) // 2
-        start = sum(
-            (session.prefix_probability(w0, (j, j + 1)) for j in range(1, n - 1)),
-            Fraction(0),
-        )
-        via_counts = (ell - 1) * (1 - 2 * start)
+        via_counts = expectation_report(n, "dp", ws.session(n)).e_commutations
         expect = expected_commutations(n)
         if via_counts != expect:
             return CheckResult(
@@ -141,21 +136,9 @@ def check_braid_mean(ws: _Workspace, max_n: int) -> CheckResult:
             return CheckResult(name, False, f"n={n}: enumeration braid mean {mean}")
         legs.append(f"enum n={n}")
     for n in range(7, min(9, max_n) + 1):
-        session = ws.session(n)
-        w0 = longest_element(n)
-        ell = n * (n - 1) // 2
-        window = sum(
-            (
-                session.prefix_probability(w0, (j, j + 1, j))
-                + session.prefix_probability(w0, (j + 1, j, j + 1))
-                for j in range(1, n - 1)
-            ),
-            Fraction(0),
-        )
-        if (ell - 2) * window != one:
-            return CheckResult(
-                name, False, f"n={n}: (ell-2) * window probability = {(ell - 2) * window}"
-            )
+        mean = expected_braids_by_counts(n, ws.session(n))
+        if mean != one:
+            return CheckResult(name, False, f"n={n}: counts braid mean {mean}")
         legs.append(f"counts n={n}")
     if not legs:
         return CheckResult(name, True, "no n in range")
@@ -284,13 +267,12 @@ def check_proportions(ws: _Workspace, max_n: int) -> CheckResult:
     name = "per-length proportions at n=800"
     n = 800
     ell = n * (n - 1) // 2
+    _, nonc_lead, braid_lead = proportions(n)
     nonc_share = expected_noncommuting_float(n) / ell
-    nonc_lead = 2 * ASYMPTOTIC_COEFFICIENT / n
     rel_nonc = abs(nonc_share - nonc_lead) / nonc_lead
     if rel_nonc > 0.03:
         return CheckResult(name, False, f"noncommuting share off by {rel_nonc:.3%} > 3%")
     braid_share = 1 / (ell - 2)
-    braid_lead = 2 / n**2
     rel_braid = abs(braid_share - braid_lead) / braid_lead
     if rel_braid > 0.01:
         return CheckResult(name, False, f"braid share off by {rel_braid:.3%} > 1%")

@@ -8,8 +8,11 @@ import longword.expectations
 from longword.cli import CSV_HEADER, main
 from longword.expectations import (
     ASYMPTOTIC_COEFFICIENT,
+    EXACT_CLOSED_CAP,
     expected_commutations,
+    expected_commutations_float,
     expected_noncommuting,
+    expected_noncommuting_float,
 )
 from longword.render import float_text
 
@@ -164,6 +167,31 @@ def test_table_float_only_above_exact_cap(capsys):
     assert cells[0] == "100"
     assert cells[1] == cells[2] == cells[3] == ""
     assert float(cells[4]) == float(expected_commutations(100))
+
+
+def test_table_rows_across_exact_closed_cap(capsys):
+    degrees = range(EXACT_CLOSED_CAP - 1, EXACT_CLOSED_CAP + 3)
+    expect = {
+        n: (float(expected_commutations(n)), float(expected_noncommuting(n)))
+        if n <= EXACT_CLOSED_CAP
+        else (expected_commutations_float(n), expected_noncommuting_float(n))
+        for n in degrees
+    }
+    args = ("table", "--from", str(degrees[0]), "--to", str(degrees[-1]))
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    lines = out.splitlines()[1:]
+    assert len(lines) == 4
+    for n, line in zip(degrees, lines):
+        cells = line.split(",")
+        assert cells[:4] == [str(n), "", "", ""]
+        assert cells[4:6] == [float_text(v) for v in expect[n]]
+    code, out, _ = run_cli(capsys, *args, "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    assert [row["n"] for row in rows] == list(degrees)
+    for row in rows:
+        assert (row["ec_float"], row["noncomm_float"]) == expect[row["n"]]
 
 
 def test_table_writes_file(tmp_path, capsys):

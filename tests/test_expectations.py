@@ -12,6 +12,7 @@ from longword.expectations import (
     double_factorial,
     expectation_report,
     expected_braids,
+    expected_braids_by_counts,
     expected_commutations,
     expected_commutations_float,
     expected_noncommuting,
@@ -23,6 +24,7 @@ from longword.expectations import (
     sigma_float,
 )
 from longword.tableaux import tableau_ratio
+from longword.words import word_stats
 
 
 def test_double_factorial():
@@ -103,6 +105,18 @@ def test_product_form_agrees_with_sigma_sum(n):
 def test_expected_braids_is_one():
     assert expected_braids() == 1
     assert expected_braids() == Fraction(1)
+
+
+def test_braid_mean_by_counts_is_one(sessions):
+    for n in range(3, 9):
+        assert expected_braids_by_counts(n, sessions(n)) == 1
+
+
+def test_braid_mean_by_counts_matches_enumeration(sessions, words_of_longest):
+    for n in range(3, 6):
+        words = words_of_longest(n)
+        mean = Fraction(sum(word_stats(w).braids for w in words), len(words))
+        assert mean == expected_braids_by_counts(n, sessions(n))
 
 
 def test_float_path_agrees_with_exact_at_cap():
