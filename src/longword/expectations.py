@@ -253,7 +253,7 @@ def expectation_report(
     """Compute the commutation expectation by the requested method.
 
     closed_form sums the per-pair rationals (floating path beyond the
-    exact cap of 300); dp uses memoized word counts through the
+    exact cap of 300); dp uses the whole-group word-count table through the
     starting-pair probabilities; enumeration averages over every word.
     All methods agree exactly wherever more than one applies.
     """

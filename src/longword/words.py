@@ -18,13 +18,12 @@ from typing import Iterator, Sequence
 from .permutations import (
     Permutation,
     check_permutation,
-    identity,
     longest_element,
 )
 
 Word = tuple[int, ...]
 
-MAX_MEMO_ENTRIES = 10_000_000
+MAX_TABLE_ENTRIES = 10_000_000
 MAX_ENUMERATED_WORDS = 10_000_000
 
 
@@ -113,51 +112,94 @@ def word_stats(letters: Sequence[int]) -> WordStats:
     return WordStats(comm, nonc, braids, asc, desc)
 
 
-def _reach_bound(w: Permutation, cap: int) -> int:
-    """Bound on the permutations the counting recursion reaches from w.
+def _inversion_code(w: Permutation) -> list[int]:
+    """Counts d[a] = #{b > a : b stands left of a}, for a = 1..n.
 
-    They are the permutations below w in the left weak order.  Each is
-    fixed by its counts d_a = #{b > a : b stands left of a}, and each
-    count is at most w's, so there are at most prod(d_a(w) + 1) of them
-    (n! for the longest element).  The product is returned as soon as it
-    exceeds cap.  Only a value below the running maximum has d_a > 0 and
-    doubles the product at least, so at most log2(cap) + 1 values are
-    counted by a scan of the prefix.
+    d[0] is unused and d[n] is 0.  Value i is a left descent of w (i + 1
+    stands left of i) exactly when d[i] > d[i + 1], and then s_i w has
+    (d[i], d[i + 1]) replaced by (d[i + 1], d[i] - 1).
     """
-    bound = 1
-    top = 0
+    d = [0] * (len(w) + 1)
     for p, v in enumerate(w):
-        if v > top:
-            top = v
-            continue
-        bound *= 1 + sum(u > v for u in w[:p])
-        if bound > cap:
-            break
-    return bound
+        d[v] = sum(u > v for u in w[:p])
+    return d
 
 
 class CountingSession:
-    """Memoized reduced-word counter for one degree n.
+    """Reduced-word counter for one degree n, over the whole group.
 
-    The table maps each reached permutation to its number of reduced
-    words via the first-letter recursion count(w) = sum of count(s_i w)
-    over left descents i.  The table is shared across calls; counting
-    the longest element fills it for the whole group, after which every
-    lookup is a read (safe to share between threads).  A query whose
-    fill could pass max_entries raises ResourceCapError before filling.
+    The table holds the number of reduced words of every permutation of
+    degree n, indexed by the rank sum(d[a] * (n - a)!) of its inversion
+    code (0 is the identity).  Stripping a left descent lowers the rank,
+    so one forward loop over the ranks fills it from the first-letter
+    recursion count(w) = sum of count(s_i w) over left descents i.  The
+    first query fills it; a query raises ResourceCapError before any work
+    when n! exceeds max_entries.
     """
 
-    def __init__(self, n: int, max_entries: int = MAX_MEMO_ENTRIES):
+    def __init__(self, n: int, max_entries: int = MAX_TABLE_ENTRIES):
         if n < 1:
             raise ValueError(f"degree must be at least 1, got {n}")
         self.n = n
         self.max_entries = max_entries
-        self._memo: dict[Permutation, int] = {identity(n): 1}
+        self._table: list[int] = []
 
     @property
     def entries(self) -> int:
-        """Number of memoized permutations."""
-        return len(self._memo)
+        """Number of permutations in the table: 0 before the first query, n! after."""
+        return len(self._table)
+
+    def _fill(self) -> None:
+        """Fill the table once; refuse first when n! > max_entries."""
+        if self._table:
+            return
+        n = self.n
+        # block[a] = (n - a)! is the weight of d[a]: the permutations that
+        # share d[1..a] hold that many consecutive ranks.  block[0] = n!.
+        block = [1] * (n + 1)
+        for a in range(n - 1, -1, -1):
+            block[a] = block[a + 1] * (n - a)
+            if block[a] > self.max_entries:
+                raise ResourceCapError(
+                    f"counting words of degree {n} needs a table of {n}! entries, "
+                    f"above the cap of {self.max_entries}"
+                )
+        table = [1] + [0] * (block[0] - 1)
+        d = [0] * (n + 1)
+        for r in range(1, block[0]):
+            a = n - 1
+            while d[a] == n - a:
+                d[a] = 0
+                a -= 1
+            d[a] += 1
+            # Descent i holds on all block[i + 1] ranks from r on that share
+            # d[1..i + 1]; only the blocks of i = a - 1 and i = a start at r,
+            # as d[a + 1..] = 0.  Stripping i moves a whole block back by
+            # off >= block[i], onto ranks already filled.
+            for i in (a - 1, a):
+                g = d[i] - d[i + 1]
+                if g > 0:
+                    m = block[i + 1]
+                    off = g * (block[i] - m) + m
+                    for k in range(r, r + m):
+                        table[k] += table[k - off]
+        self._table = table
+
+    def _rank(self, d: list[int]) -> int:
+        """Table index of the permutation with inversion code d."""
+        n = self.n
+        r = 0
+        for a in range(1, n):
+            r = r * (n - a + 1) + d[a]
+        return r
+
+    def _code(self, w: Sequence[int]) -> list[int]:
+        """Inversion code of w, after checking its degree and filling the table."""
+        t = check_permutation(w)
+        if len(t) != self.n:
+            raise ValueError(f"expected degree {self.n}, got {len(t)}")
+        self._fill()
+        return _inversion_code(t)
 
     def count(self, w: Sequence[int]) -> int:
         """Exact number of reduced words of w.
@@ -165,43 +207,8 @@ class CountingSession:
         >>> CountingSession(4).count((4, 3, 2, 1))
         16
         """
-        t = check_permutation(w)
-        if len(t) != self.n:
-            raise ValueError(f"expected degree {self.n}, got {len(t)}")
-        self._check_fill(t)
-        return self._count(t)
-
-    def _check_fill(self, w: Permutation) -> None:
-        """Refuse a fill from w that could exceed the table cap."""
-        if w not in self._memo and _reach_bound(w, self.max_entries) > self.max_entries:
-            raise ResourceCapError(
-                f"counting words of this degree-{self.n} permutation could need "
-                f"more than {self.max_entries} table entries"
-            )
-
-    def _count(self, w: Permutation) -> int:
-        memo = self._memo
-        cached = memo.get(w)
-        if cached is not None:
-            return cached
-        n = self.n
-        pos = [0] * (n + 1)
-        for p, v in enumerate(w):
-            pos[v] = p
-        total = 0
-        for i in range(1, n):
-            a, b = pos[i], pos[i + 1]
-            if a > b:
-                child = list(w)
-                child[a] = i + 1
-                child[b] = i
-                total += self._count(tuple(child))
-        if len(memo) >= self.max_entries:
-            raise ResourceCapError(
-                f"counting table exceeded {self.max_entries} entries"
-            )
-        memo[w] = total
-        return total
+        d = self._code(w)
+        return self._table[self._rank(d)]
 
     def prefix_probability(self, w: Sequence[int], prefix: Sequence[int]) -> Fraction:
         """Probability that a uniform reduced word of w starts with prefix.
@@ -212,23 +219,16 @@ class CountingSession:
         >>> CountingSession(4).prefix_probability((4, 3, 2, 1), (1, 2))
         Fraction(3, 16)
         """
-        t = check_permutation(w)
-        if len(t) != self.n:
-            raise ValueError(f"expected degree {self.n}, got {len(t)}")
-        self._check_fill(t)
-        denom = self._count(t)
-        if denom == 0:
-            raise ValueError(f"{t!r} has no reduced words to condition on")
-        v = list(t)
+        d = self._code(w)
+        denom = self._table[self._rank(d)]
         n = self.n
         for p in prefix:
             if not 1 <= p <= n - 1:
                 raise ValueError(f"letter {p} is outside [1, {n - 1}]")
-            a, b = v.index(p), v.index(p + 1)
-            if a < b:
+            if d[p] <= d[p + 1]:
                 return Fraction(0)
-            v[a], v[b] = p + 1, p
-        return Fraction(self._count(tuple(v)), denom)
+            d[p], d[p + 1] = d[p + 1], d[p] - 1
+        return Fraction(self._table[self._rank(d)], denom)
 
 
 def count_words(w: Sequence[int], session: CountingSession | None = None) -> int:
@@ -279,26 +279,22 @@ def enumerate_words(
         raise ResourceCapError(
             f"{t!r} has {total} reduced words, above the cap of {max_words}"
         )
-    ident = identity(n)
+    d = _inversion_code(t)
+    length = sum(d)
 
-    def walk(v: Permutation, prefix: list[int]) -> Iterator[Word]:
-        if v == ident:
+    def walk(prefix: list[int]) -> Iterator[Word]:
+        if len(prefix) == length:
             yield tuple(prefix)
             return
-        pos = [0] * (n + 1)
-        for p, val in enumerate(v):
-            pos[val] = p
         for i in range(1, n):
-            a, b = pos[i], pos[i + 1]
-            if a > b:
-                child = list(v)
-                child[a] = i + 1
-                child[b] = i
+            if d[i] > d[i + 1]:
+                d[i], d[i + 1] = d[i + 1], d[i] - 1
                 prefix.append(i)
-                yield from walk(tuple(child), prefix)
+                yield from walk(prefix)
                 prefix.pop()
+                d[i], d[i + 1] = d[i + 1] + 1, d[i]
 
-    return walk(t, [])
+    return walk([])
 
 
 def rotate(n: int, letters: Sequence[int]) -> Word:

@@ -18,7 +18,6 @@ from longword.words import (
     CountingSession,
     NotReducedError,
     ResourceCapError,
-    _reach_bound,
     count_words,
     enumerate_words,
     evaluate,
@@ -109,6 +108,13 @@ def test_count_words_validates_input():
 def test_counting_session_cap():
     with pytest.raises(ResourceCapError):
         CountingSession(5, max_entries=10).count(longest_element(5))
+    session = CountingSession(5, max_entries=119)
+    with pytest.raises(ResourceCapError):
+        session.count(identity(5))
+    assert session.entries == 0
+    session = CountingSession(5, max_entries=120)
+    assert session.count(longest_element(5)) == 768
+    assert session.entries == 120
 
 
 def test_oversized_count_is_refused_up_front():
@@ -125,13 +131,14 @@ def test_oversized_prefix_probability_is_refused_up_front():
     assert time.perf_counter() - started < 1
 
 
-@given(st.integers(1, 7).flatmap(lambda n: st.permutations(range(1, n + 1))))
-def test_fill_stays_within_reach_bound(w):
-    w = tuple(w)
-    bound = _reach_bound(w, 10**9)
-    session = CountingSession(len(w), max_entries=bound)
-    session.count(w)
-    assert session.entries <= bound
+def test_deep_permutation_is_refused_up_front():
+    # Few permutations lie below these, but their degree is far past the cap.
+    started = time.perf_counter()
+    with pytest.raises(ResourceCapError):
+        count_words(tuple(range(2, 2001)) + (1,))
+    with pytest.raises(ResourceCapError):
+        list(enumerate_words(tuple(range(2, 1501)) + (1,)))
+    assert time.perf_counter() - started < 1
 
 
 def count_via_right_descents(w, memo):
@@ -145,7 +152,7 @@ def count_via_right_descents(w, memo):
 
 
 def test_left_and_right_recursions_agree():
-    for n in (4, 5):
+    for n in (4, 5, 6):
         session = CountingSession(n)
         memo = {identity(n): 1}
         for w in iter_permutations(range(1, n + 1)):
