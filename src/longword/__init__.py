@@ -11,6 +11,7 @@ windows.
 from .expectations import (
     ASYMPTOTIC_COEFFICIENT,
     EXACT_CLOSED_CAP,
+    FLOAT_CAP,
     ExpectationReport,
     asymptotic_noncommuting,
     double_factorial,
@@ -23,7 +24,6 @@ from .expectations import (
     half_integer_ratio,
     proportions,
     sigma,
-    sigma_float,
 )
 from .permutations import (
     Permutation,

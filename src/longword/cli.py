@@ -10,6 +10,7 @@ from . import verify
 from .expectations import (
     ASYMPTOTIC_COEFFICIENT,
     EXACT_CLOSED_CAP,
+    FLOAT_CAP,
     asymptotic_noncommuting,
     expectation_report,
     expected_noncommuting,
@@ -37,9 +38,10 @@ CSV_HEADER = "n,word_count,ec_num,ec_den,ec_float,noncomm_float,asymp_noncomm_fl
 _CAPS_NOTE = (
     "caps: count and dp require n <= %d, enumerate requires n <= %d, "
     "sample requires n <= %d, "
-    "exact closed-form rationals stop at n <= %d (floating path beyond), "
+    "exact closed-form rationals stop at n <= %d (floating path beyond, "
+    "up to n <= %d; a table's floating rows may sum to that many degrees), "
     "table rows carry exact columns only for n <= %d"
-    % (DP_CAP, ENUMERATE_CAP, SAMPLE_CAP, EXACT_CLOSED_CAP, TABLE_EXACT_CAP)
+    % (DP_CAP, ENUMERATE_CAP, SAMPLE_CAP, EXACT_CLOSED_CAP, FLOAT_CAP, TABLE_EXACT_CAP)
 )
 
 
@@ -153,6 +155,13 @@ def cmd_table(args: argparse.Namespace) -> int:
     first, last = getattr(args, "from"), args.to
     if not 3 <= first <= last:
         return _usage(f"need 3 <= --from <= --to, got {first}..{last}")
+    low = max(first, EXACT_CLOSED_CAP + 1)
+    float_degrees = (low + last) * (last - low + 1) // 2  # <= 0 when no float rows
+    if float_degrees > FLOAT_CAP:
+        raise ResourceCapError(
+            f"the floating rows {low}..{last} sum to {float_degrees} degrees, "
+            f"above the cap of {FLOAT_CAP}"
+        )
     rows = _table_rows(first, last)
     if args.out is None:
         _write_table(rows, args.format, sys.stdout)

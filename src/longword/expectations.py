@@ -6,10 +6,13 @@ pairs is a sum of n-2 explicit rationals, one per possible starting
 pair (j, j+1); commutations are the complement ell - 1 minus that.  The
 expected number of braid windows is the constant 1 for every degree.
 
-Two independent codings of the noncommuting expectation are provided
-(per-term rationals and a product of half-integer ratios), plus a
-log-gamma floating path that stays accurate far beyond the range where
-exact rationals are practical to carry around.
+Every closed form is built from one ratio sequence
+h(x) = (2x+1)!!/(2^x x!) = c(x)/4^x, with c(x) = (2x+1) C(2x, x).
+Two independent exact codings of the noncommuting expectation are
+provided (per-term rationals from binomials, and a product of
+half-integer ratios), plus a floating path that carries h as the running
+product h(x) = h(x-1) (2x+1)/(2x), for degrees far beyond the range
+where exact rationals are practical to carry around.
 """
 
 from __future__ import annotations
@@ -17,15 +20,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, lgamma
+from math import comb, factorial
 
 from .permutations import longest_element
-from .words import CountingSession, enumerate_words, word_stats
+from .words import CountingSession, ResourceCapError, enumerate_words, word_stats
 
 EXACT_CLOSED_CAP = 300
+FLOAT_CAP = 10**8
 ASYMPTOTIC_COEFFICIENT = 128 / (9 * math.pi**2)
-
-_LN2 = math.log(2)
 
 
 def double_factorial(m: int) -> int:
@@ -58,12 +60,16 @@ def half_integer_ratio(i: int) -> Fraction:
     return Fraction(double_factorial(2 * i + 1), 2**i * factorial(i))
 
 
+def _central(x: int) -> int:
+    # c(x) = (2x+1) C(2x, x) = 4^x h(x)
+    return (2 * x + 1) * comb(2 * x, x)
+
+
 def sigma(n: int, j: int) -> Fraction:
     """Exact contribution of starting pair (j, j+1) to the noncommuting mean.
 
-    Value: 1/(3 C(n,2) 2^(2n-7)) times the four ratios
-    (2j-1)!!/(j-1)!, (2j+1)!!/j!, (2k-1)!!/(k-1)!, (2k+1)!!/k!
-    with k = n-j-1.  Symmetric under j <-> n-1-j.
+    Value: 8 c(j-1) c(j) c(k-1) c(k) / (3 C(n,2) 16^(n-2)) with k = n-j-1
+    and c(x) = (2x+1) C(2x, x).  Symmetric under j <-> n-1-j.
 
     >>> sigma(4, 1)
     Fraction(15, 8)
@@ -76,12 +82,8 @@ def sigma(n: int, j: int) -> Fraction:
         raise ValueError(f"index must lie in [1, {n - 2}], got {j}")
     ell = n * (n - 1) // 2
     k = n - j - 1
-    value = Fraction(1, 3 * ell) * Fraction(1, 2) ** (2 * n - 7)
-    value *= Fraction(double_factorial(2 * j - 1), factorial(j - 1))
-    value *= Fraction(double_factorial(2 * j + 1), factorial(j))
-    value *= Fraction(double_factorial(2 * k - 1), factorial(k - 1))
-    value *= Fraction(double_factorial(2 * k + 1), factorial(k))
-    return value
+    product = _central(j - 1) * _central(j) * _central(k - 1) * _central(k)
+    return Fraction(8 * product, 3 * ell * 16 ** (n - 2))
 
 
 def expected_noncommuting(n: int) -> Fraction:
@@ -158,45 +160,40 @@ def expected_braids_by_counts(
     return (ell - 2) * window
 
 
-def _ln_lower_ratio(x: int) -> float:
-    # ln((2x-1)!!/(x-1)!)  via  (2x-1)!! = (2x)!/(2^x x!)
-    return lgamma(2 * x + 1) - x * _LN2 - lgamma(x + 1) - lgamma(x)
-
-
-def _ln_upper_ratio(x: int) -> float:
-    # ln((2x+1)!!/x!)  via  (2x+1)!! = (2x+2)!/(2^(x+1) (x+1)!)
-    return lgamma(2 * x + 3) - (x + 1) * _LN2 - lgamma(x + 2) - lgamma(x + 1)
-
-
-def sigma_float(n: int, j: int) -> float:
-    """Log-space evaluation of sigma(n, j); accurate for very large n."""
-    if n < 3:
-        raise ValueError(f"degree must be at least 3, got {n}")
-    if not 1 <= j <= n - 2:
-        raise ValueError(f"index must lie in [1, {n - 2}], got {j}")
-    ell = n * (n - 1) // 2
-    k = n - j - 1
-    ln_value = (
-        -math.log(3)
-        - math.log(ell)
-        - (2 * n - 7) * _LN2
-        + _ln_lower_ratio(j)
-        + _ln_upper_ratio(j)
-        + _ln_lower_ratio(k)
-        + _ln_upper_ratio(k)
-    )
-    return math.exp(ln_value)
-
-
 def expected_noncommuting_float(n: int) -> float:
-    """Floating noncommuting mean via the log-space path, any degree."""
+    """Floating noncommuting mean, 8/(3 ell) times the sum of h-products.
+
+    h(x) = (2x+1)!!/(2^x x!) is carried as the running product
+    h(x) = h(x-1) (2x+1)/(2x): one pair (h(j-1), h(j)) walks up from
+    h(0) while the pair (h(k-1), h(k)) walks down from h(n-2), found by a
+    first pass.  Refuses n > FLOAT_CAP before any work.
+    """
     if n < 2:
         raise ValueError(f"degree must be at least 2, got {n}")
-    return math.fsum(sigma_float(n, j) for j in range(1, n - 1))
+    if n > FLOAT_CAP:
+        raise ResourceCapError(
+            f"the floating mean of degree {n} is above the cap of {FLOAT_CAP}"
+        )
+    top = 1.0
+    for x in range(1, n - 1):
+        top *= (2 * x + 1) / (2 * x)
+
+    def terms():
+        lo, hi = 1.0, 1.5
+        k = n - 2
+        down_lo, down_hi = top * (2 * k) / (2 * k + 1), top
+        for j in range(1, n - 1):
+            yield lo * hi * down_lo * down_hi
+            lo, hi = hi, hi * (2 * j + 3) / (2 * j + 2)
+            k -= 1
+            down_lo, down_hi = down_lo * (2 * k) / (2 * k + 1), down_lo
+
+    ell = n * (n - 1) // 2
+    return 8 / (3 * ell) * math.fsum(terms())
 
 
 def expected_commutations_float(n: int) -> float:
-    """Floating commutation mean via the log-space path, any degree."""
+    """Floating commutation mean via the running-product path, n <= FLOAT_CAP."""
     ell = n * (n - 1) // 2
     return ell - 1 - expected_noncommuting_float(n)
 

@@ -219,12 +219,13 @@ class CountingSession:
         >>> CountingSession(4).prefix_probability((4, 3, 2, 1), (1, 2))
         Fraction(3, 16)
         """
-        d = self._code(w)
-        denom = self._table[self._rank(d)]
         n = self.n
         for p in prefix:
             if not 1 <= p <= n - 1:
                 raise ValueError(f"letter {p} is outside [1, {n - 1}]")
+        d = self._code(w)
+        denom = self._table[self._rank(d)]
+        for p in prefix:
             if d[p] <= d[p + 1]:
                 return Fraction(0)
             d[p], d[p + 1] = d[p + 1], d[p] - 1

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from longword.cli import CSV_HEADER, main
 from longword.expectations import (
     ASYMPTOTIC_COEFFICIENT,
     EXACT_CLOSED_CAP,
+    FLOAT_CAP,
     expected_commutations,
     expected_commutations_float,
     expected_noncommuting,
@@ -192,6 +195,37 @@ def test_table_rows_across_exact_closed_cap(capsys):
     assert [row["n"] for row in rows] == list(degrees)
     for row in rows:
         assert (row["ec_float"], row["noncomm_float"]) == expect[row["n"]]
+
+
+def test_table_exact_rows_golden(capsys):
+    # every row through the exact cap, pinned byte for byte
+    digests = {
+        "csv": "295fb34e186b1416513c76e69fade3ff875132aca5adfcf47d3ee9e5d4b937e0",
+        "json": "f01eb9f710b8ee0ba98c5aa3ed48b69203d75f44ac71d905633a1c2f5fce94c2",
+    }
+    for fmt, digest in digests.items():
+        code, out, _ = run_cli(
+            capsys, "table", "--from", "3", "--to", str(EXACT_CLOSED_CAP), "--format", fmt
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_float_cap_is_refused_up_front(capsys):
+    # the first table whose floating rows sum past the cap
+    last = 14145
+    assert sum(range(EXACT_CLOSED_CAP + 1, last + 1)) > FLOAT_CAP
+    assert sum(range(EXACT_CLOSED_CAP + 1, last)) <= FLOAT_CAP
+    for args in (
+        ("expect", "--n", str(10**12)),
+        ("expect", "--n", str(FLOAT_CAP + 1)),
+        ("table", "--from", "3", "--to", str(10**6)),
+        ("table", "--from", "3", "--to", str(last)),
+    ):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *args)
+        assert time.perf_counter() - start < 1
+        assert code == 3 and out == "" and "cap" in err
 
 
 def test_table_writes_file(tmp_path, capsys):

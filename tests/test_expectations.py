@@ -21,7 +21,6 @@ from longword.expectations import (
     half_integer_ratio,
     proportions,
     sigma,
-    sigma_float,
 )
 from longword.tableaux import tableau_ratio
 from longword.words import word_stats
@@ -134,10 +133,16 @@ def test_float_path_agrees_with_exact_generally(n):
     )
 
 
-def test_sigma_float_matches_exact():
-    for n in (3, 7, 40):
-        for j in range(1, n - 1):
-            assert math.isclose(sigma_float(n, j), float(sigma(n, j)), rel_tol=1e-12)
+def test_float_path_against_high_precision():
+    mpmath = pytest.importorskip("mpmath")
+    for n in (1000, 3000):
+        with mpmath.workdps(30):
+            h = [mpmath.rf(1.5, x) / mpmath.factorial(x) for x in range(n - 1)]
+            total = mpmath.fsum(
+                h[j - 1] * h[j] * h[n - j - 2] * h[n - j - 1] for j in range(1, n - 1)
+            )
+            oracle = mpmath.mpf(8) / (3 * (n * (n - 1) // 2)) * total
+        assert math.isclose(expected_noncommuting_float(n), float(oracle), rel_tol=1e-13)
 
 
 def test_asymptotic_coefficient_against_high_precision():

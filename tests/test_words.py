@@ -183,6 +183,8 @@ def test_prefix_probability_zero_when_not_shortening(sessions):
 def test_prefix_probability_rejects_bad_letters(sessions):
     with pytest.raises(ValueError):
         prefix_probability(longest_element(4), (4,), session=sessions(4))
+    with pytest.raises(ValueError):
+        prefix_probability(longest_element(4), (1, 1, 99), session=sessions(4))
 
 
 def test_prefix_probability_matches_enumeration(sessions, words_of_longest):
