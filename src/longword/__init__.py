@@ -10,6 +10,7 @@ windows.
 
 from .expectations import (
     ASYMPTOTIC_COEFFICIENT,
+    EXACT_CAP,
     EXACT_CLOSED_CAP,
     FLOAT_CAP,
     ExpectationReport,

@@ -96,7 +96,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         return _usage("--seed must fit in a signed 64-bit integer")
     if args.trials == 1:
         print("note: standard errors are NaN with a single trial", file=sys.stderr)
-    summary = monte_carlo(args.n, args.trials, args.seed, workers=args.jobs)
+    summary = monte_carlo(args.n, args.trials, args.seed)
     print(sample_json(summary))
     return EXIT_OK
 

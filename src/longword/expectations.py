@@ -7,25 +7,25 @@ pair (j, j+1); commutations are the complement ell - 1 minus that.  The
 expected number of braid windows is the constant 1 for every degree.
 
 Every closed form is built from one ratio sequence
-h(x) = (2x+1)!!/(2^x x!) = c(x)/4^x, with c(x) = (2x+1) C(2x, x).
-Two independent exact codings of the noncommuting expectation are
-provided (per-term rationals from binomials, and a product of
-half-integer ratios), plus a floating path that carries h as the running
-product h(x) = h(x-1) (2x+1)/(2x), for degrees far beyond the range
-where exact rationals are practical to carry around.
+h(x) = (2x+1)!!/(2^x x!), with h(x) = h(x-1) (2x+1)/(2x).  The exact
+and floating means run the same running-product walk over h, on the
+integers 4^(n-2) h(x) and on floats; sigma and the product form code
+the terms again from half-integer ratios, as the independent reference.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 from .permutations import longest_element
 from .words import CountingSession, ResourceCapError, enumerate_words, word_stats
 
 EXACT_CLOSED_CAP = 300
+EXACT_CAP = 10**4
 FLOAT_CAP = 10**8
 ASYMPTOTIC_COEFFICIENT = 128 / (9 * math.pi**2)
 
@@ -60,16 +60,11 @@ def half_integer_ratio(i: int) -> Fraction:
     return Fraction(double_factorial(2 * i + 1), 2**i * factorial(i))
 
 
-def _central(x: int) -> int:
-    # c(x) = (2x+1) C(2x, x) = 4^x h(x)
-    return (2 * x + 1) * comb(2 * x, x)
-
-
 def sigma(n: int, j: int) -> Fraction:
     """Exact contribution of starting pair (j, j+1) to the noncommuting mean.
 
-    Value: 8 c(j-1) c(j) c(k-1) c(k) / (3 C(n,2) 16^(n-2)) with k = n-j-1
-    and c(x) = (2x+1) C(2x, x).  Symmetric under j <-> n-1-j.
+    Value: 8/(3 ell) h(j-1) h(j) h(k-1) h(k) with k = n-j-1 and
+    h = half_integer_ratio.  Symmetric under j <-> n-1-j.
 
     >>> sigma(4, 1)
     Fraction(15, 8)
@@ -82,12 +77,44 @@ def sigma(n: int, j: int) -> Fraction:
         raise ValueError(f"index must lie in [1, {n - 2}], got {j}")
     ell = n * (n - 1) // 2
     k = n - j - 1
-    product = _central(j - 1) * _central(j) * _central(k - 1) * _central(k)
-    return Fraction(8 * product, 3 * ell * 16 ** (n - 2))
+    return Fraction(8, 3 * ell) * (
+        half_integer_ratio(j - 1)
+        * half_integer_ratio(j)
+        * half_integer_ratio(k - 1)
+        * half_integer_ratio(k)
+    )
+
+
+def expected_noncommuting_product_form(n: int) -> Fraction:
+    """Reference noncommuting mean: the sum of sigma(n, j), independent of the walk."""
+    if n < 2:
+        raise ValueError(f"degree must be at least 2, got {n}")
+    return sum((sigma(n, j) for j in range(1, n - 1)), Fraction(0))
+
+
+def _pair_products(n: int, h0, div):
+    """Yield h0^4 h(j-1) h(j) h(k-1) h(k) for j = 1..n-2, with k = n-1-j.
+
+    h is carried as the running product h0 h(x) = div(h0 h(x-1) (2x+1), 2x):
+    one pair walks up from h0 h(0) = h0 and one walks down from h0 h(n-2),
+    found by a first pass.  With h0 = 4^(n-2) every value is an integer,
+    so floor division is exact; with h0 = 1.0 it is the float path.
+    """
+    top = h0
+    for x in range(1, n - 1):
+        top = div(top * (2 * x + 1), 2 * x)
+    hi, k_lo = h0, top
+    for j in range(1, n - 1):
+        k = n - 1 - j
+        lo, hi = hi, div(hi * (2 * j + 1), 2 * j)
+        k_lo, k_hi = div(k_lo * (2 * k), 2 * k + 1), k_lo
+        yield lo * hi * k_lo * k_hi
 
 
 def expected_noncommuting(n: int) -> Fraction:
-    """Exact mean count of adjacent noncommuting pairs, sum of sigma(n, j).
+    """Exact mean count of adjacent noncommuting pairs, by the integer walk.
+
+    Refuses n > EXACT_CAP before any work.
 
     >>> expected_noncommuting(3)
     Fraction(2, 1)
@@ -96,23 +123,13 @@ def expected_noncommuting(n: int) -> Fraction:
     """
     if n < 2:
         raise ValueError(f"degree must be at least 2, got {n}")
-    return sum((sigma(n, j) for j in range(1, n - 1)), Fraction(0))
-
-
-def expected_noncommuting_product_form(n: int) -> Fraction:
-    """Same mean coded independently: 8/(3 ell) times a sum of ratio products."""
-    if n < 2:
-        raise ValueError(f"degree must be at least 2, got {n}")
-    ell = n * (n - 1) // 2
-    total = Fraction(0)
-    for j in range(1, n - 1):
-        total += (
-            half_integer_ratio(j - 1)
-            * half_integer_ratio(j)
-            * half_integer_ratio(n - j - 2)
-            * half_integer_ratio(n - j - 1)
+    if n > EXACT_CAP:
+        raise ResourceCapError(
+            f"the exact mean of degree {n} is above the cap of {EXACT_CAP}"
         )
-    return Fraction(8, 3 * ell) * total
+    scale = 4 ** (n - 2)
+    total = sum(_pair_products(n, scale, operator.floordiv))
+    return Fraction(8 * total, 3 * (n * (n - 1) // 2) * scale**4)
 
 
 def expected_commutations(n: int) -> Fraction:
@@ -161,35 +178,15 @@ def expected_braids_by_counts(
 
 
 def expected_noncommuting_float(n: int) -> float:
-    """Floating noncommuting mean, 8/(3 ell) times the sum of h-products.
-
-    h(x) = (2x+1)!!/(2^x x!) is carried as the running product
-    h(x) = h(x-1) (2x+1)/(2x): one pair (h(j-1), h(j)) walks up from
-    h(0) while the pair (h(k-1), h(k)) walks down from h(n-2), found by a
-    first pass.  Refuses n > FLOAT_CAP before any work.
-    """
+    """Floating noncommuting mean by the exact mean's walk; n <= FLOAT_CAP."""
     if n < 2:
         raise ValueError(f"degree must be at least 2, got {n}")
     if n > FLOAT_CAP:
         raise ResourceCapError(
             f"the floating mean of degree {n} is above the cap of {FLOAT_CAP}"
         )
-    top = 1.0
-    for x in range(1, n - 1):
-        top *= (2 * x + 1) / (2 * x)
-
-    def terms():
-        lo, hi = 1.0, 1.5
-        k = n - 2
-        down_lo, down_hi = top * (2 * k) / (2 * k + 1), top
-        for j in range(1, n - 1):
-            yield lo * hi * down_lo * down_hi
-            lo, hi = hi, hi * (2 * j + 3) / (2 * j + 2)
-            k -= 1
-            down_lo, down_hi = down_lo * (2 * k) / (2 * k + 1), down_lo
-
     ell = n * (n - 1) // 2
-    return 8 / (3 * ell) * math.fsum(terms())
+    return 8 / (3 * ell) * math.fsum(_pair_products(n, 1.0, operator.truediv))
 
 
 def expected_commutations_float(n: int) -> float:
@@ -249,8 +246,8 @@ def expectation_report(
 ) -> ExpectationReport:
     """Compute the commutation expectation by the requested method.
 
-    closed_form sums the per-pair rationals (floating path beyond the
-    exact cap of 300); dp uses the whole-group word-count table through the
+    closed_form runs the integer walk (floating path beyond the exact
+    cap of 300); dp uses the whole-group word-count table through the
     starting-pair probabilities; enumeration averages over every word.
     All methods agree exactly wherever more than one applies.
     """

@@ -120,17 +120,16 @@ def test_c06_complement_identity_and_rotation_per_word(words_of_longest):
     print(f"criterion 6 PASS: complement and rotation hold for {total} words")
 
 
-def test_c07_sampler_uniformity_and_means(sessions, words_of_longest):
+def test_c07_sampler_uniformity_and_means(words_of_longest):
     """Criterion 7: chi-square at n=4 under the 99.9% quantile; n=10 means in 4 se; <2 min."""
     started = time.perf_counter()
-    session = sessions(4)
     observed = {word: 0 for word in words_of_longest(4)}
     for index in range(16000):
-        observed[sample_word(4, trial_generator(2024, index), session)] += 1
+        observed[sample_word(4, trial_generator(2024, index))] += 1
     chi_square = sum((count - 1000) ** 2 / 1000 for count in observed.values())
     assert chi_square < CHI2_15_Q999, chi_square
 
-    summary = monte_carlo(10, 100_000, seed=42, session=sessions(10))
+    summary = monte_carlo(10, 100_000, seed=42)
     target = float(expected_commutations(10))
     assert abs(summary.mean_commutations - target) <= 4 * summary.se_commutations
     assert abs(summary.mean_braids - 1.0) <= 4 * summary.se_braids

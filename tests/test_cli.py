@@ -211,6 +211,14 @@ def test_table_exact_rows_golden(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_table_float_rows_golden(capsys):
+    # the first floating rows past the exact cap, pinned byte for byte
+    code, out, _ = run_cli(capsys, "table", "--from", "301", "--to", "400", "--format", "csv")
+    assert code == 0
+    digest = "8f3d754b886b6bb5e7098853f7db3dd12e0db1ddff91e043216d314d34043284"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_float_cap_is_refused_up_front(capsys):
     # the first table whose floating rows sum past the cap
     last = 14145
@@ -275,15 +283,16 @@ def test_verify_usage(capsys):
     assert run_cli(capsys, "verify", "--max-n", "11")[0] == 2
 
 
-def test_verify_detects_tampered_sigma(capsys, monkeypatch):
+def test_verify_detects_tampered_pair_products(capsys, monkeypatch):
     """Seeded-bug drill: doubling one closed-form term must trip the checks."""
-    true_sigma = longword.expectations.sigma
+    true_walk = longword.expectations._pair_products
 
-    def tampered(n, j):
-        value = true_sigma(n, j)
-        return 2 * value if j == 1 else value
+    def tampered(n, h0, div):
+        terms = true_walk(n, h0, div)
+        yield 2 * next(terms, 0)
+        yield from terms
 
-    monkeypatch.setattr(longword.expectations, "sigma", tampered)
+    monkeypatch.setattr(longword.expectations, "_pair_products", tampered)
     code, out, _ = run_cli(capsys, "verify", "--max-n", "3")
     assert code == 1
     assert any(line.startswith("FAIL") for line in out.splitlines())

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from longword.expectations import (
     ASYMPTOTIC_COEFFICIENT,
+    EXACT_CAP,
     EXACT_CLOSED_CAP,
     ExpectationReport,
     asymptotic_noncommuting,
@@ -23,7 +25,7 @@ from longword.expectations import (
     sigma,
 )
 from longword.tableaux import tableau_ratio
-from longword.words import word_stats
+from longword.words import ResourceCapError, word_stats
 
 
 def test_double_factorial():
@@ -99,6 +101,23 @@ def test_complement_identity(n):
 @given(st.integers(2, 50))
 def test_product_form_agrees_with_sigma_sum(n):
     assert expected_noncommuting_product_form(n) == expected_noncommuting(n)
+
+
+@pytest.mark.parametrize("n", [301, 1000])
+def test_product_form_agrees_beyond_hypothesis_range(n):
+    # the reference takes about 0.5 s at n = 1000, past the hypothesis deadline
+    assert expected_noncommuting_product_form(n) == expected_noncommuting(n)
+
+
+def test_exact_cap_is_refused_up_front():
+    for mean, n in (
+        (expected_noncommuting, EXACT_CAP + 1),
+        (expected_commutations, 10**6),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(ResourceCapError):
+            mean(n)
+        assert time.perf_counter() - start < 1, n
 
 
 def test_expected_braids_is_one():

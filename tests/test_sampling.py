@@ -34,45 +34,44 @@ def test_trial_generator_separates_trials():
     assert len(set(draws.values())) == len(draws)
 
 
-def test_sample_word_degree_three(sessions):
-    session = sessions(3)
+def test_sample_word_degree_three():
     seen = set()
     for index in range(60):
-        word = sample_word(3, trial_generator(0, index), session)
+        word = sample_word(3, trial_generator(0, index))
         assert word in {(1, 2, 1), (2, 1, 2)}
         seen.add(word)
     assert seen == {(1, 2, 1), (2, 1, 2)}
 
 
-def test_sample_word_degree_two(sessions):
-    assert sample_word(2, trial_generator(0, 0), sessions(2)) == (1,)
+def test_sample_word_degree_two():
+    assert sample_word(2, trial_generator(0, 0)) == (1,)
     with pytest.raises(ValueError):
         sample_word(1, trial_generator(0, 0))
 
 
-def test_sampled_words_are_valid(sessions):
+def test_sampled_words_are_valid():
     n = 5
     w0 = longest_element(n)
     ell = n * (n - 1) // 2
     for index in range(50):
-        word = sample_word(n, trial_generator(3, index), sessions(n))
+        word = sample_word(n, trial_generator(3, index))
         assert evaluate(n, word) == w0
         stats = word_stats(word)
         assert stats.commutations + stats.noncommuting == ell - 1
 
 
-def test_sample_word_frequency_degree_three(sessions):
+def test_sample_word_frequency_degree_three():
     draws = 4000
     hits = sum(
-        sample_word(3, trial_generator(17, index), sessions(3)) == (1, 2, 1)
+        sample_word(3, trial_generator(17, index)) == (1, 2, 1)
         for index in range(draws)
     )
     # binomial(4000, 1/2): four standard deviations is ~126
     assert abs(hits - draws / 2) <= 4 * math.sqrt(draws / 4)
 
 
-def test_monte_carlo_degree_three_braids(sessions):
-    summary = monte_carlo(3, 250, seed=5, session=sessions(3))
+def test_monte_carlo_degree_three_braids():
+    summary = monte_carlo(3, 250, seed=5)
     assert summary.mean_braids == 1.0
     assert summary.se_braids == 0.0
     assert summary.mean_commutations == 0.0
@@ -80,57 +79,53 @@ def test_monte_carlo_degree_three_braids(sessions):
     assert summary.word_length == 3
 
 
-def test_monte_carlo_totals_are_exact(sessions):
+def test_monte_carlo_totals_are_exact():
     n, trials = 4, 300
-    summary = monte_carlo(n, trials, seed=8, session=sessions(n))
+    summary = monte_carlo(n, trials, seed=8)
     ell = n * (n - 1) // 2
     assert summary.total_commutations + summary.total_noncommuting == trials * (ell - 1)
     assert summary.mean_commutations == summary.total_commutations / trials
     assert summary.trials == trials and summary.seed == 8
 
 
-def test_monte_carlo_single_trial_has_nan_errors(sessions):
-    summary = monte_carlo(4, 1, seed=0, session=sessions(4))
+def test_monte_carlo_single_trial_has_nan_errors():
+    summary = monte_carlo(4, 1, seed=0)
     assert math.isnan(summary.se_commutations)
     assert math.isnan(summary.se_noncommuting)
     assert math.isnan(summary.se_braids)
 
 
-def test_monte_carlo_rejects_bad_arguments(sessions):
+def test_monte_carlo_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        monte_carlo(4, 0, seed=0, session=sessions(4))
+        monte_carlo(4, 0, seed=0)
     with pytest.raises(ValueError):
-        monte_carlo(4, 10, seed=0, workers=0, session=sessions(4))
+        monte_carlo(4, 10, seed=0, workers=0)
 
 
-def test_monte_carlo_worker_counts_agree(sessions):
-    session = sessions(4)
-    summaries = [
-        monte_carlo(4, 120, seed=21, workers=w, session=session) for w in (1, 2, 5, 7)
-    ]
+def test_monte_carlo_worker_counts_agree():
+    summaries = [monte_carlo(4, 120, seed=21, workers=w) for w in (1, 2, 5, 7)]
     assert all(s == summaries[0] for s in summaries[1:])
     assert len({sample_json(s) for s in summaries}) == 1
 
 
-def test_monte_carlo_matches_per_index_derivation(sessions):
+def test_monte_carlo_matches_per_index_derivation():
     """Trial k of any run is exactly sample_word(trial_generator(seed, k))."""
     n, trials, seed = 4, 40, 33
-    session = sessions(n)
-    summary = monte_carlo(n, trials, seed, workers=3, session=session)
+    summary = monte_carlo(n, trials, seed, workers=3)
     total = sum(
-        word_stats(sample_word(n, trial_generator(seed, k), session)).braids
+        word_stats(sample_word(n, trial_generator(seed, k))).braids
         for k in range(trials)
     )
     assert summary.total_braids == total
 
 
-def test_monte_carlo_consistency_over_growing_trials(sessions):
+def test_monte_carlo_consistency_over_growing_trials():
     """Fixed seed; errors stay inside 4 se and shrink from first to last."""
     n, seed = 5, 11
     target = float(expected_commutations(n))
     errors = []
     for trials in (400, 1600, 6400):
-        summary = monte_carlo(n, trials, seed, session=sessions(n))
+        summary = monte_carlo(n, trials, seed)
         err = abs(summary.mean_commutations - target)
         assert err <= 4 * summary.se_commutations, trials
         errors.append(err)
