@@ -13,6 +13,7 @@ from .expectations import (
     EXACT_CAP,
     EXACT_CLOSED_CAP,
     FLOAT_CAP,
+    REFERENCE_CAP,
     ExpectationReport,
     asymptotic_noncommuting,
     double_factorial,

@@ -26,6 +26,7 @@ from .words import CountingSession, ResourceCapError, enumerate_words, word_stat
 
 EXACT_CLOSED_CAP = 300
 EXACT_CAP = 10**4
+REFERENCE_CAP = 2000
 FLOAT_CAP = 10**8
 ASYMPTOTIC_COEFFICIENT = 128 / (9 * math.pi**2)
 
@@ -64,7 +65,8 @@ def sigma(n: int, j: int) -> Fraction:
     """Exact contribution of starting pair (j, j+1) to the noncommuting mean.
 
     Value: 8/(3 ell) h(j-1) h(j) h(k-1) h(k) with k = n-j-1 and
-    h = half_integer_ratio.  Symmetric under j <-> n-1-j.
+    h = half_integer_ratio.  Symmetric under j <-> n-1-j.  Refuses
+    n > REFERENCE_CAP before any work.
 
     >>> sigma(4, 1)
     Fraction(15, 8)
@@ -75,6 +77,12 @@ def sigma(n: int, j: int) -> Fraction:
         raise ValueError(f"degree must be at least 3, got {n}")
     if not 1 <= j <= n - 2:
         raise ValueError(f"index must lie in [1, {n - 2}], got {j}")
+    if n > REFERENCE_CAP:
+        # each term rebuilds its double factorials: one term takes about 16 s
+        # at n = 10^5, and the sum over j 6-8 s at n = 2000 and 50 s at 4000
+        raise ResourceCapError(
+            f"the reference term of degree {n} is above the cap of {REFERENCE_CAP}"
+        )
     ell = n * (n - 1) // 2
     k = n - j - 1
     return Fraction(8, 3 * ell) * (
@@ -86,7 +94,10 @@ def sigma(n: int, j: int) -> Fraction:
 
 
 def expected_noncommuting_product_form(n: int) -> Fraction:
-    """Reference noncommuting mean: the sum of sigma(n, j), independent of the walk."""
+    """Reference noncommuting mean: the sum of sigma(n, j), independent of the walk.
+
+    Refuses n > REFERENCE_CAP before any work, at its first term.
+    """
     if n < 2:
         raise ValueError(f"degree must be at least 2, got {n}")
     return sum((sigma(n, j) for j in range(1, n - 1)), Fraction(0))

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import longword.expectations
+import longword.verify
 from longword.cli import CSV_HEADER, main
 from longword.expectations import (
     ASYMPTOTIC_COEFFICIENT,
@@ -18,6 +19,7 @@ from longword.expectations import (
     expected_noncommuting_float,
 )
 from longword.render import float_text
+from longword.tableaux import hook_length_count
 
 
 def run_cli(capsys, *args):
@@ -273,9 +275,17 @@ def test_asymptotics_output(capsys):
 def test_verify_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--max-n", "3")
     assert code == 0
-    lines = out.splitlines()
-    assert len(lines) == 10
-    assert all(line.startswith("PASS") for line in lines)
+    assert [line.split(": ")[0] for line in out.splitlines()] == [
+        "PASS  commutation mean by enumeration (n 3..6)",
+        "PASS  commutation mean by word-count recursion (n 7..9)",
+        "PASS  braid mean equals 1 (enumeration 3..6, counts 7..9)",
+        "PASS  word counts match tableau counts (n 3..9)",
+        "PASS  two-step shapes are corner-deleted staircases (n 3..10)",
+        "PASS  per-word complement and rotation (n 3..6)",
+        "PASS  sampler uniformity and means",
+        "PASS  noncommuting mean grows linearly (n 100..800)",
+        "PASS  per-length proportions at n=800",
+    ]
 
 
 def test_verify_usage(capsys):
@@ -296,6 +306,31 @@ def test_verify_detects_tampered_pair_products(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--max-n", "3")
     assert code == 1
     assert any(line.startswith("FAIL") for line in out.splitlines())
+
+
+@pytest.mark.parametrize(
+    "route, tampered, check",
+    [
+        (
+            "hook_length_count",
+            lambda shape: hook_length_count(shape) + 1,
+            "word counts match tableau counts (n 3..9)",
+        ),
+        (
+            "rotate",
+            lambda n, letters: tuple(letters),
+            "per-word complement and rotation (n 3..6)",
+        ),
+    ],
+    ids=["hook_length_count", "rotate"],
+)
+def test_verify_names_first_bad_degree(capsys, monkeypatch, route, tampered, check):
+    """Seeded-bug drill: a tampered route fails its check at the first degree."""
+    monkeypatch.setattr(longword.verify, route, tampered)
+    code, out, _ = run_cli(capsys, "verify", "--max-n", "3")
+    assert code == 1
+    line = next(line for line in out.splitlines() if f"  {check}: " in line)
+    assert line.startswith(f"FAIL  {check}: n=3: ")
 
 
 def test_float_text_renders_specials():

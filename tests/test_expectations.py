@@ -9,6 +9,7 @@ from longword.expectations import (
     ASYMPTOTIC_COEFFICIENT,
     EXACT_CAP,
     EXACT_CLOSED_CAP,
+    REFERENCE_CAP,
     ExpectationReport,
     asymptotic_noncommuting,
     double_factorial,
@@ -110,13 +111,17 @@ def test_product_form_agrees_beyond_hypothesis_range(n):
 
 
 def test_exact_cap_is_refused_up_front():
-    for mean, n in (
+    for exact, n in (
         (expected_noncommuting, EXACT_CAP + 1),
         (expected_commutations, 10**6),
+        (expected_noncommuting_product_form, REFERENCE_CAP + 1),
+        (expected_noncommuting_product_form, 10**6),
+        (lambda n: sigma(n, 1), REFERENCE_CAP + 1),
+        (lambda n: sigma(n, 1), 10**6),
     ):
         start = time.perf_counter()
         with pytest.raises(ResourceCapError):
-            mean(n)
+            exact(n)
         assert time.perf_counter() - start < 1, n
 
 
