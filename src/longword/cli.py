@@ -19,7 +19,7 @@ from .expectations import (
 )
 from .permutations import longest_element
 from .render import float_text, json_object, sample_json
-from .sampling import monte_carlo
+from .sampling import TRIALS_CAP, monte_carlo
 from .tableaux import hook_length_count, staircase
 from .words import ResourceCapError, count_words
 
@@ -37,11 +37,19 @@ CSV_HEADER = "n,word_count,ec_num,ec_den,ec_float,noncomm_float,asymp_noncomm_fl
 
 _CAPS_NOTE = (
     "caps: count and dp require n <= %d, enumerate requires n <= %d, "
-    "sample requires n <= %d, "
+    "sample requires n <= %d and --trials <= %d, "
     "exact closed-form rationals stop at n <= %d (floating path beyond, "
     "up to n <= %d; a table's floating rows may sum to that many degrees), "
     "table rows carry exact columns only for n <= %d"
-    % (DP_CAP, ENUMERATE_CAP, SAMPLE_CAP, EXACT_CLOSED_CAP, FLOAT_CAP, TABLE_EXACT_CAP)
+    % (
+        DP_CAP,
+        ENUMERATE_CAP,
+        SAMPLE_CAP,
+        TRIALS_CAP,
+        EXACT_CLOSED_CAP,
+        FLOAT_CAP,
+        TABLE_EXACT_CAP,
+    )
 )
 
 

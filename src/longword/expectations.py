@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -237,7 +237,6 @@ class ExpectationReport:
     e_noncommuting: Fraction | None
     method: str
     float_value: float
-    e_braids_reference: Fraction = field(default_factory=expected_braids)
 
     def __post_init__(self):
         if (self.e_commutations is None) != (self.e_noncommuting is None):

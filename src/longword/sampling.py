@@ -29,7 +29,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .words import Word, word_stats
+from .words import ResourceCapError, Word, word_stats
+
+# About two minutes of draws at n = 10, where one costs about 0.1 ms.
+TRIALS_CAP = 10**6
 
 
 def trial_generator(seed: int, index: int) -> random.Random:
@@ -187,10 +190,13 @@ def monte_carlo(
     indexed, generators are derived per index, and totals are exact
     integers.  The draws are pure Python, so threads would not run them
     faster; workers (at least 1) and session are accepted for
-    compatibility and ignored.
+    compatibility and ignored.  Refuses trials > TRIALS_CAP with
+    ResourceCapError before any draw.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if trials > TRIALS_CAP:
+        raise ResourceCapError(f"{trials} trials exceed the cap of {TRIALS_CAP}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     sc = snc = sb = sc2 = snc2 = sb2 = 0

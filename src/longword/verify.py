@@ -8,6 +8,7 @@ one degree at a time; one runner stops at the first failing leg.
 from __future__ import annotations
 
 import functools
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,9 +27,17 @@ MAX_N = 10
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's verdict; seconds is the wall time spent draining its legs.
+
+    The time includes filling any shared cache (a counting session or an
+    enumeration pass) that the check is the first to ask for, so a later
+    check that reuses it looks cheaper than it would alone.
+    """
+
     name: str
     passed: bool
     detail: str
+    seconds: float
 
 
 def _same(label: str, a, b) -> tuple[str, bool, str]:
@@ -111,7 +120,11 @@ def _sampler(max_n: int, session, tally):
         words = enumerate_words(longest_element(4), session=session(4))
         observed = dict.fromkeys(words, 0)
         for index in range(16000):
-            observed[sample_word(4, trial_generator(2024, index))] += 1
+            word = sample_word(4, trial_generator(2024, index))
+            if word not in observed:
+                yield f"draw {index} (n=4)", False, f"{word} is not a word of w0"
+                return
+            observed[word] += 1
         expected = 16000 / len(observed)
         chi_square = sum((c - expected) ** 2 / expected for c in observed.values())
         shown = f"{chi_square:.2f}, bound {CHI2_15_Q999}"
@@ -145,16 +158,19 @@ def _proportions(max_n: int, session, tally):
 
 def _run(name: str, legs) -> CheckResult:
     """Name the first failing leg, else list the legs or count them by a noun."""
+    started = time.perf_counter()
     shown = []
     try:
         while True:
             label, ok, text = next(legs)
             if not ok:
-                return CheckResult(name, False, f"{label}: {text}")
+                passed, detail = False, f"{label}: {text}"
+                break
             shown.append(f"{label}: {text}")
     except StopIteration as done:
         detail = f"{len(shown)} {done.value}" if done.value else "; ".join(shown)
-        return CheckResult(name, True, detail or "no n in range")
+        passed, detail = True, detail or "no n in range"
+    return CheckResult(name, passed, detail, time.perf_counter() - started)
 
 
 _CHECKS = (

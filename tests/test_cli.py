@@ -19,6 +19,7 @@ from longword.expectations import (
     expected_noncommuting_float,
 )
 from longword.render import float_text
+from longword.sampling import TRIALS_CAP
 from longword.tableaux import hook_length_count
 
 
@@ -231,6 +232,8 @@ def test_float_cap_is_refused_up_front(capsys):
         ("expect", "--n", str(FLOAT_CAP + 1)),
         ("table", "--from", "3", "--to", str(10**6)),
         ("table", "--from", "3", "--to", str(last)),
+        ("sample", "--n", "10", "--trials", str(TRIALS_CAP + 1)),
+        ("sample", "--n", "10", "--trials", str(10**9)),
     ):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *args)
@@ -331,6 +334,16 @@ def test_verify_names_first_bad_degree(capsys, monkeypatch, route, tampered, che
     assert code == 1
     line = next(line for line in out.splitlines() if f"  {check}: " in line)
     assert line.startswith(f"FAIL  {check}: n=3: ")
+
+
+def test_verify_names_a_sampled_non_word(capsys, monkeypatch):
+    """Seeded-bug drill: a sampler that draws a non-word fails, naming the word."""
+    monkeypatch.setattr(longword.verify, "sample_word", lambda n, rng: (1,) * 6)
+    code, out, _ = run_cli(capsys, "verify", "--max-n", "4")
+    lines = out.splitlines()
+    assert code == 1 and len(lines) == 9
+    check = "FAIL  sampler uniformity and means: "
+    assert "(1, 1, 1, 1, 1, 1)" in next(x for x in lines if x.startswith(check))
 
 
 def test_float_text_renders_specials():

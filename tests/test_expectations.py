@@ -215,7 +215,6 @@ def test_expectation_report_methods_agree(sessions):
             "enumeration",
         }
         assert closed.float_value == float(closed.e_commutations)
-        assert closed.e_braids_reference == 1
 
 
 def test_expectation_report_beyond_exact_cap():

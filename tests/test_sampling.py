@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -6,6 +7,7 @@ from longword.expectations import expected_braids, expected_commutations
 from longword.permutations import longest_element
 from longword.render import sample_json
 from longword.sampling import (
+    TRIALS_CAP,
     SampleSummary,
     _hook_walk,
     _promotion_word,
@@ -14,7 +16,7 @@ from longword.sampling import (
     trial_generator,
 )
 from longword.tableaux import hook_length_count, staircase
-from longword.words import evaluate, word_stats
+from longword.words import ResourceCapError, evaluate, word_stats
 
 
 def test_trial_generator_is_deterministic():
@@ -100,6 +102,10 @@ def test_monte_carlo_rejects_bad_arguments():
         monte_carlo(4, 0, seed=0)
     with pytest.raises(ValueError):
         monte_carlo(4, 10, seed=0, workers=0)
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapError):
+        monte_carlo(10, TRIALS_CAP + 1, seed=0)
+    assert time.perf_counter() - start < 1
 
 
 def test_monte_carlo_worker_counts_agree():
