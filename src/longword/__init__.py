@@ -31,15 +31,12 @@ from .permutations import (
     Permutation,
     Shape,
     apply_simple_left,
-    apply_simple_right,
     identity,
-    inverse,
     is_permutation,
     is_vexillary,
     left_descents,
     length,
     longest_element,
-    right_descents,
     shape_of,
     two_step_lowering,
 )

@@ -21,10 +21,9 @@ from .permutations import longest_element
 from .render import float_text, json_object, sample_json
 from .sampling import TRIALS_CAP, monte_carlo
 from .tableaux import hook_length_count, staircase
-from .words import ResourceCapError, count_words
+from .words import DP_CAP, ResourceCapError, count_words
 
 ENUMERATE_CAP = 6
-DP_CAP = 10
 SAMPLE_CAP = 10
 TABLE_EXACT_CAP = 10
 

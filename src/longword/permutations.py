@@ -41,22 +41,23 @@ def longest_element(n: int) -> Permutation:
     return tuple(range(n, 0, -1))
 
 
-def inverse(w: Permutation) -> Permutation:
-    """Inverse permutation: position of each value.
+def _inversion_code(w: Permutation) -> list[int]:
+    """Counts d[a] = #{b > a : b stands left of a}, for a = 1..n.
 
-    >>> inverse((3, 1, 2))
-    (2, 3, 1)
+    d[0] is unused and d[n] is 0.  Value i is a left descent of w (i + 1
+    stands left of i) exactly when d[i] > d[i + 1], and then s_i w has
+    (d[i], d[i + 1]) replaced by (d[i + 1], d[i] - 1).  The only count of
+    inversions: length, left_descents and shape_of all read it.
     """
-    inv = [0] * len(w)
-    for pos, val in enumerate(w, start=1):
-        inv[val - 1] = pos
-    return tuple(inv)
+    d = [0] * (len(w) + 1)
+    for p, v in enumerate(w):
+        d[v] = sum(u > v for u in w[:p])
+    return d
 
 
 def length(w: Permutation) -> int:
     """Number of inversions, i.e. pairs p < q with w(p) > w(q)."""
-    n = len(w)
-    return sum(1 for p in range(n) for q in range(p + 1, n) if w[p] > w[q])
+    return sum(_inversion_code(w))
 
 
 def apply_simple_left(i: int, w: Permutation) -> Permutation:
@@ -74,20 +75,6 @@ def apply_simple_left(i: int, w: Permutation) -> Permutation:
     return tuple(swap.get(v, v) for v in w)
 
 
-def apply_simple_right(w: Permutation, i: int) -> Permutation:
-    """Compose s_i on the right: swap the entries in positions i and i+1.
-
-    >>> apply_simple_right((4, 3, 2, 1), 2)
-    (4, 2, 3, 1)
-    """
-    n = len(w)
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"simple index must lie in [1, {n - 1}], got {i}")
-    lst = list(w)
-    lst[i - 1], lst[i] = lst[i], lst[i - 1]
-    return tuple(lst)
-
-
 def left_descents(w: Permutation) -> set[int]:
     """Indices i with length(s_i w) < length(w).
 
@@ -98,13 +85,8 @@ def left_descents(w: Permutation) -> set[int]:
     >>> left_descents((1, 2, 3))
     set()
     """
-    pos = inverse(w)
-    return {i for i in range(1, len(w)) if pos[i - 1] > pos[i]}
-
-
-def right_descents(w: Permutation) -> set[int]:
-    """Indices i with length(w s_i) < length(w), i.e. w(i) > w(i+1)."""
-    return {i for i in range(1, len(w)) if w[i - 1] > w[i]}
+    d = _inversion_code(w)
+    return {i for i in range(1, len(w)) if d[i] > d[i + 1]}
 
 
 def is_vexillary(w: Permutation) -> bool:
@@ -124,22 +106,16 @@ def is_vexillary(w: Permutation) -> bool:
 def shape_of(w: Permutation) -> Shape:
     """Partition of length(w) recording inversions by position.
 
-    Entry r_p counts the earlier positions carrying a larger value than
-    position p; the partition is the multiset of nonzero r_p sorted in
-    weakly decreasing order.
+    Entry r_p = d[w(p)] counts the earlier positions carrying a larger
+    value than position p; the partition is the multiset of nonzero r_p
+    sorted in weakly decreasing order.
 
     >>> shape_of((4, 3, 2, 1))
     (3, 2, 1)
     >>> shape_of((4, 2, 1, 3))
     (2, 1, 1)
     """
-    rows = []
-    for p, val in enumerate(w):
-        r = sum(1 for q in range(p) if w[q] > val)
-        if r:
-            rows.append(r)
-    rows.sort(reverse=True)
-    return tuple(rows)
+    return tuple(sorted(filter(None, _inversion_code(w)), reverse=True))
 
 
 def two_step_lowering(n: int, j: int) -> Permutation:
@@ -158,8 +134,7 @@ def two_step_lowering(n: int, j: int) -> Permutation:
         raise ValueError(f"degree must be at least 3, got {n}")
     if not 1 <= j <= n - 2:
         raise ValueError(f"index must lie in [1, {n - 2}], got {j}")
-    w = apply_simple_left(j + 1, apply_simple_left(j, longest_element(n)))
-    return w
+    return apply_simple_left(j + 1, apply_simple_left(j, longest_element(n)))
 
 
 def check_permutation(w: Sequence[int]) -> Permutation:

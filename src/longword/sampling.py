@@ -33,6 +33,8 @@ from .words import ResourceCapError, Word, word_stats
 
 # About two minutes of draws at n = 10, where one costs about 0.1 ms.
 TRIALS_CAP = 10**6
+# One draw takes about 0.1 s at n = 100, 1 s at 200 and 4 s at 300 (2 CPUs).
+DEGREE_CAP = 300
 
 
 def trial_generator(seed: int, index: int) -> random.Random:
@@ -130,10 +132,13 @@ def sample_word(n: int, rng: random.Random, session: object = None) -> Word:
     Draws a staircase tableau by the hook walk and maps it to a word by
     Edelman-Greene promotion; cost is O(n^3) with no set-up.  session
     is accepted for compatibility with callers that pass a counting
-    session, and ignored.
+    session, and ignored.  Refuses n > DEGREE_CAP with ResourceCapError
+    before any work.
     """
     if n < 2:
         raise ValueError(f"degree must be at least 2, got {n}")
+    if n > DEGREE_CAP:
+        raise ResourceCapError(f"degree {n} is above the sampler's cap of {DEGREE_CAP}")
     return _promotion_word(_hook_walk(n, rng))
 
 
@@ -191,7 +196,8 @@ def monte_carlo(
     integers.  The draws are pure Python, so threads would not run them
     faster; workers (at least 1) and session are accepted for
     compatibility and ignored.  Refuses trials > TRIALS_CAP with
-    ResourceCapError before any draw.
+    ResourceCapError before any draw; the first sample_word call refuses
+    n > DEGREE_CAP the same way.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")

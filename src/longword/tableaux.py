@@ -8,6 +8,10 @@ from math import factorial
 from typing import Sequence
 
 from .permutations import Shape
+from .words import ResourceCapError
+
+# hook_length_count takes 2.3 s at 79,800 cells, 43 s at 319,600 (2 CPUs).
+HOOK_CELLS_CAP = 10**5
 
 
 def check_partition(parts: Sequence[int]) -> Shape:
@@ -93,13 +97,17 @@ def hook_grid(shape: Shape) -> HookGrid:
 def hook_length_count(shape: Shape) -> int:
     """Number of standard fillings: size! / product of hooks, exactly.
 
+    Refuses more than HOOK_CELLS_CAP cells with ResourceCapError first.
+
     >>> hook_length_count((3, 2, 1))
     16
     >>> hook_length_count((2, 1, 1))
     3
     """
+    size = sum(check_partition(shape))
+    if size > HOOK_CELLS_CAP:
+        raise ResourceCapError(f"{size} cells are above the cap of {HOOK_CELLS_CAP}")
     grid = hook_grid(shape)
-    size = sum(grid.shape)
     product = 1
     for row in grid.hooks:
         for h in row:
@@ -124,6 +132,8 @@ def tableau_ratio(n: int, j: int) -> Fraction:
         raise ValueError(f"degree must be at least 3, got {n}")
     if not 1 <= j <= n - 2:
         raise ValueError(f"index must lie in [1, {n - 2}], got {j}")
+    if n * (n - 1) // 2 > HOOK_CELLS_CAP:  # before the staircase is built
+        raise ResourceCapError(f"degree {n} is above the cap of {HOOK_CELLS_CAP} cells")
     delta = staircase(n)
     deleted = delete_corners(delta, (j, j + 1))
     return Fraction(hook_length_count(deleted), hook_length_count(delta))

@@ -8,7 +8,7 @@ import pytest
 
 import longword.expectations
 import longword.verify
-from longword.cli import CSV_HEADER, main
+from longword.cli import _CAPS_NOTE, CSV_HEADER, main
 from longword.expectations import (
     ASYMPTOTIC_COEFFICIENT,
     EXACT_CLOSED_CAP,
@@ -239,6 +239,17 @@ def test_float_cap_is_refused_up_front(capsys):
         code, out, err = run_cli(capsys, *args)
         assert time.perf_counter() - start < 1
         assert code == 3 and out == "" and "cap" in err
+
+
+def test_caps_note_is_pinned():
+    # the --help epilog restates every cap, wherever its constant lives
+    assert _CAPS_NOTE == (
+        "caps: count and dp require n <= 10, enumerate requires n <= 6, "
+        "sample requires n <= 10 and --trials <= 1000000, "
+        "exact closed-form rationals stop at n <= 300 (floating path beyond, "
+        "up to n <= 100000000; a table's floating rows may sum to that many "
+        "degrees), table rows carry exact columns only for n <= 10"
+    )
 
 
 def test_table_writes_file(tmp_path, capsys):

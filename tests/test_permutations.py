@@ -5,15 +5,12 @@ from hypothesis import given, strategies as st
 
 from longword.permutations import (
     apply_simple_left,
-    apply_simple_right,
     identity,
-    inverse,
     is_permutation,
     is_vexillary,
     left_descents,
     length,
     longest_element,
-    right_descents,
     shape_of,
     two_step_lowering,
 )
@@ -61,14 +58,6 @@ def test_apply_simple_left_examples():
         apply_simple_left(3, (2, 1, 3))
 
 
-def test_apply_simple_right_examples():
-    assert apply_simple_right((3, 2, 1), 1) == (2, 3, 1)
-    assert apply_simple_right((1, 2, 3), 2) == (1, 3, 2)
-    assert apply_simple_right((4, 2, 1, 3), 3) == (4, 2, 3, 1)
-    with pytest.raises(ValueError):
-        apply_simple_right((2, 1), 2)
-
-
 def test_length_examples():
     assert length((1, 2, 3)) == 0
     assert length((4, 3, 2, 1)) == 6
@@ -87,18 +76,6 @@ def test_simple_left_changes_length_by_one(w, data):
     assert abs(length(apply_simple_left(i, w)) - length(w)) == 1
 
 
-@given(perms(min_degree=2), st.data())
-def test_left_right_duality(w, data):
-    i = data.draw(st.integers(1, len(w) - 1))
-    assert apply_simple_right(w, i) == inverse(apply_simple_left(i, inverse(w)))
-
-
-@given(perms())
-def test_inverse_is_involutive(w):
-    assert inverse(inverse(w)) == w
-    assert inverse(longest_element(len(w))) == longest_element(len(w))
-
-
 def test_left_descents_examples():
     assert left_descents((1, 2, 3)) == set()
     assert left_descents((3, 2, 1)) == {1, 2}
@@ -113,11 +90,6 @@ def test_left_descents_are_the_shortening_letters(w):
         if length(apply_simple_left(i, w)) == length(w) - 1
     }
     assert left_descents(w) == by_length
-
-
-@given(perms(min_degree=2))
-def test_right_descents_are_adjacent_drops(w):
-    assert right_descents(w) == {i for i in range(1, len(w)) if w[i - 1] > w[i]}
 
 
 def oracle_vexillary(w):
@@ -153,6 +125,12 @@ def test_shape_size_is_length(w):
     assert sum(shape) == length(w)
     assert all(a >= b for a, b in zip(shape, shape[1:]))
     assert all(part > 0 for part in shape)
+
+
+@given(perms())
+def test_shape_of_is_the_sorted_per_position_counts(w):
+    rows = [sum(1 for q in range(p) if w[q] > w[p]) for p in range(len(w))]
+    assert shape_of(w) == tuple(sorted((r for r in rows if r), reverse=True))
 
 
 @given(st.integers(1, 10))

@@ -7,6 +7,7 @@ from longword.expectations import expected_braids, expected_commutations
 from longword.permutations import longest_element
 from longword.render import sample_json
 from longword.sampling import (
+    DEGREE_CAP,
     TRIALS_CAP,
     SampleSummary,
     _hook_walk,
@@ -206,6 +207,18 @@ def test_hook_walk_draws_standard_staircase_tableaux():
                 assert all(a < b for a, b in zip(row, row[1:]))
                 if i:
                     assert all(rows[i - 1][j] < v for j, v in enumerate(row))
+
+
+def test_oversized_degree_is_refused_up_front():
+    assert DEGREE_CAP >= 30
+    started = time.perf_counter()
+    with pytest.raises(ResourceCapError):
+        sample_word(10**5, trial_generator(0, 0))
+    with pytest.raises(ResourceCapError):
+        monte_carlo(10**5, 10, seed=0)
+    with pytest.raises(ResourceCapError):
+        sample_word(DEGREE_CAP + 1, trial_generator(0, 0))
+    assert time.perf_counter() - started < 1
 
 
 def test_sample_word_degree_thirty():

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from math import factorial
 
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from longword.permutations import longest_element
 from longword.tableaux import (
+    HOOK_CELLS_CAP,
     conjugate,
     delete_corners,
     hook_grid,
@@ -13,7 +15,7 @@ from longword.tableaux import (
     staircase,
     tableau_ratio,
 )
-from longword.words import prefix_probability
+from longword.words import ResourceCapError, prefix_probability
 
 
 @st.composite
@@ -108,6 +110,18 @@ def test_hook_length_count_examples():
 @given(partitions(max_part=5, max_rows=4))
 def test_hook_length_count_matches_corner_recursion(shape):
     assert hook_length_count(shape) == oracle_fillings(shape)
+
+
+def test_oversized_shape_is_refused_up_front():
+    assert sum(staircase(447)) <= HOOK_CELLS_CAP < sum(staircase(448))
+    started = time.perf_counter()
+    for shape in (staircase(2000), staircase(448), (HOOK_CELLS_CAP + 1,)):
+        with pytest.raises(ResourceCapError):
+            hook_length_count(shape)
+    for n in (448, 10**9):
+        with pytest.raises(ResourceCapError):
+            tableau_ratio(n, 1)
+    assert time.perf_counter() - started < 1
 
 
 def test_tableau_ratio_examples():

@@ -5,16 +5,10 @@ from itertools import permutations as iter_permutations
 import pytest
 from hypothesis import given, strategies as st
 
-from longword.permutations import (
-    apply_simple_right,
-    identity,
-    is_vexillary,
-    longest_element,
-    right_descents,
-    shape_of,
-)
+from longword.permutations import identity, is_vexillary, longest_element, shape_of
 from longword.tableaux import hook_length_count
 from longword.words import (
+    DP_CAP,
     CountingSession,
     NotReducedError,
     ResourceCapError,
@@ -87,8 +81,9 @@ def test_enumerate_words_over_whole_degree_four():
 
 
 def test_enumerate_words_cap():
+    # 1,100,742,656 words of degree 7 exceed MAX_ENUMERATED_WORDS = 10^7
     with pytest.raises(ResourceCapError):
-        enumerate_words(longest_element(5), max_words=100)
+        enumerate_words(longest_element(7))
 
 
 def test_count_words_examples(sessions):
@@ -106,15 +101,13 @@ def test_count_words_validates_input():
 
 
 def test_counting_session_cap():
-    with pytest.raises(ResourceCapError):
-        CountingSession(5, max_entries=10).count(longest_element(5))
-    session = CountingSession(5, max_entries=119)
-    with pytest.raises(ResourceCapError):
-        session.count(identity(5))
+    session = CountingSession(DP_CAP + 1)
+    started = time.perf_counter()
+    for w in (identity(DP_CAP + 1), longest_element(DP_CAP + 1)):
+        with pytest.raises(ResourceCapError):
+            session.count(w)
+    assert time.perf_counter() - started < 1
     assert session.entries == 0
-    session = CountingSession(5, max_entries=120)
-    assert session.count(longest_element(5)) == 768
-    assert session.entries == 120
 
 
 def test_oversized_count_is_refused_up_front():
@@ -142,11 +135,12 @@ def test_deep_permutation_is_refused_up_front():
 
 
 def count_via_right_descents(w, memo):
-    """Mirror oracle: strip the LAST letter, which is a right descent."""
+    """Mirror oracle: strip the LAST letter i, a right descent w(i) > w(i+1)."""
     if w not in memo:
         memo[w] = sum(
-            count_via_right_descents(apply_simple_right(w, i), memo)
-            for i in right_descents(w)
+            count_via_right_descents(w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :], memo)
+            for i in range(1, len(w))
+            if w[i - 1] > w[i]
         )
     return memo[w]
 
