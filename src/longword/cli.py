@@ -19,12 +19,11 @@ from .expectations import (
 )
 from .permutations import longest_element
 from .render import float_text, json_object, sample_json
-from .sampling import TRIALS_CAP, monte_carlo
+from .sampling import DEGREE_CAP, TRIALS_CAP, monte_carlo
 from .tableaux import hook_length_count, staircase
 from .words import DP_CAP, ResourceCapError, count_words
 
 ENUMERATE_CAP = 6
-SAMPLE_CAP = 10
 TABLE_EXACT_CAP = 10
 
 EXIT_OK = 0
@@ -35,20 +34,11 @@ EXIT_RESOURCE = 3
 CSV_HEADER = "n,word_count,ec_num,ec_den,ec_float,noncomm_float,asymp_noncomm_float"
 
 _CAPS_NOTE = (
-    "caps: count and dp require n <= %d, enumerate requires n <= %d, "
-    "sample requires n <= %d and --trials <= %d, "
-    "exact closed-form rationals stop at n <= %d (floating path beyond, "
-    "up to n <= %d; a table's floating rows may sum to that many degrees), "
-    "table rows carry exact columns only for n <= %d"
-    % (
-        DP_CAP,
-        ENUMERATE_CAP,
-        SAMPLE_CAP,
-        TRIALS_CAP,
-        EXACT_CLOSED_CAP,
-        FLOAT_CAP,
-        TABLE_EXACT_CAP,
-    )
+    f"caps: count and dp require n <= {DP_CAP}, enumerate requires n <= {ENUMERATE_CAP}, "
+    f"sample requires n <= {DEGREE_CAP} and --trials <= {TRIALS_CAP} at n <= 10, scaled "
+    f"by (10/n)^3 beyond, exact closed-form rationals stop at n <= {EXACT_CLOSED_CAP} "
+    f"(floating path beyond, up to n <= {FLOAT_CAP}; a table's floating rows may sum "
+    f"to that many degrees), table rows carry exact columns only for n <= {TABLE_EXACT_CAP}"
 )
 
 
@@ -93,8 +83,8 @@ def cmd_expect(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    if not 2 <= args.n <= SAMPLE_CAP:
-        return _usage(f"--n must lie in [2, {SAMPLE_CAP}], got {args.n}")
+    if not 2 <= args.n <= DEGREE_CAP:
+        return _usage(f"--n must lie in [2, {DEGREE_CAP}], got {args.n}")
     if args.trials < 1:
         return _usage(f"--trials must be at least 1, got {args.trials}")
     if args.jobs < 1:
@@ -239,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_expect)
 
     p = sub.add_parser("sample", help="seeded Monte Carlo summary as JSON")
-    p.add_argument("--n", type=int, required=True, help=f"degree, 2..{SAMPLE_CAP}")
+    p.add_argument("--n", type=int, required=True, help=f"degree, 2..{DEGREE_CAP}")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0, help="64-bit seed (default 0)")
     p.add_argument("--jobs", type=int, default=1, help="ignored (trials run in one thread); output identical for any value")

@@ -258,8 +258,9 @@ def expectation_report(
 
     closed_form runs the integer walk (floating path beyond the exact
     cap of 300); dp uses the whole-group word-count table through the
-    starting-pair probabilities; enumeration averages over every word.
-    All methods agree exactly wherever more than one applies.
+    starting-pair probabilities, from session when one is given;
+    enumeration averages over every word.  All methods agree exactly
+    wherever more than one applies.
     """
     if n < 2:
         raise ValueError(f"degree must be at least 2, got {n}")
@@ -283,7 +284,7 @@ def expectation_report(
         w0 = longest_element(n)
         total = 0
         words = 0
-        for word in enumerate_words(w0, session=session):
+        for word in enumerate_words(w0):
             total += word_stats(word).noncommuting
             words += 1
         e_nonc = Fraction(total, words)

@@ -9,7 +9,6 @@ of inversions, so the longest element of degree n has length n(n-1)/2.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable, Sequence
 
 Permutation = tuple[int, ...]
@@ -89,17 +88,36 @@ def left_descents(w: Permutation) -> set[int]:
     return {i for i in range(1, len(w)) if d[i] > d[i + 1]}
 
 
-def is_vexillary(w: Permutation) -> bool:
+def is_vexillary(w: Sequence[int]) -> bool:
     """True when w has no positions p1<p2<p3<p4 patterned like (2,1,4,3).
+
+    Such positions exist exactly when a[p2] < b[p3] for some p2 < p3,
+    where a[p] is the least value left of p above w(p) and b[p] the
+    greatest value right of p below w(p).  Both are read off a doubly
+    linked list of the values 0..n+1 (0 and n+1 mean none) that drops
+    w(p) once p is read: O(n) after the check that w is a permutation.
 
     >>> is_vexillary((2, 1, 4, 3))
     False
     >>> is_vexillary((4, 3, 2, 1))
     True
     """
-    for p1, p2, p3, p4 in combinations(range(len(w)), 4):
-        if w[p2] < w[p1] < w[p4] < w[p3]:
+    w = check_permutation(w)
+    n = len(w)
+    lower, higher = list(range(-1, n + 1)), list(range(1, n + 3))
+    least_above = [0] * n
+    for p in range(n - 1, -1, -1):  # the list holds the values at positions <= p
+        lo, hi = lower[w[p]], higher[w[p]]
+        least_above[p] = hi
+        higher[lo], lower[hi] = hi, lo
+    lower, higher = list(range(-1, n + 1)), list(range(1, n + 3))
+    lowest = n + 1  # least a[p2] over p2 < p
+    for p, v in enumerate(w):  # the list holds the values at positions >= p
+        lo, hi = lower[v], higher[v]
+        if lowest < lo:
             return False
+        lowest = min(lowest, least_above[p])
+        higher[lo], lower[hi] = hi, lo
     return True
 
 

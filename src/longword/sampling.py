@@ -31,7 +31,8 @@ from typing import Sequence
 
 from .words import ResourceCapError, Word, word_stats
 
-# About two minutes of draws at n = 10, where one costs about 0.1 ms.
+# A draw costs about 75-130 ns * n^3 for n >= 10 (2 CPUs), so TRIALS_CAP
+# draws at n <= 10, scaled by (10 / n)^3 above, are about two minutes.
 TRIALS_CAP = 10**6
 # One draw takes about 0.1 s at n = 100, 1 s at 200 and 4 s at 300 (2 CPUs).
 DEGREE_CAP = 300
@@ -195,14 +196,16 @@ def monte_carlo(
     indexed, generators are derived per index, and totals are exact
     integers.  The draws are pure Python, so threads would not run them
     faster; workers (at least 1) and session are accepted for
-    compatibility and ignored.  Refuses trials > TRIALS_CAP with
+    compatibility and ignored.  A draw costs O(n^3), so trials above
+    TRIALS_CAP * (10 / max(n, 10))^3 (37 at n = 300) are refused with
     ResourceCapError before any draw; the first sample_word call refuses
     n > DEGREE_CAP the same way.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    if trials > TRIALS_CAP:
-        raise ResourceCapError(f"{trials} trials exceed the cap of {TRIALS_CAP}")
+    limit = TRIALS_CAP * 10**3 // max(n, 10) ** 3
+    if trials > limit:
+        raise ResourceCapError(f"{trials} trials at degree {n} exceed the cap of {limit}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     sc = snc = sb = sc2 = snc2 = sb2 = 0

@@ -48,13 +48,13 @@ def _within(label: str, off: float, bound: float, spec: str) -> tuple[str, bool,
     return label, off <= bound, f"off by {off:{spec}}, bound {bound:{spec}}"
 
 
-def _enumeration_pass(n: int, session: CountingSession):
+def _enumeration_pass(n: int):
     """One walk over w0's words: both means, the word count, the first bad word."""
     w0 = longest_element(n)
     ell = n * (n - 1) // 2
     words = commutations = braids = 0
     bad = None
-    for word in enumerate_words(w0, session=session):
+    for word in enumerate_words(w0):
         stats = word_stats(word)
         words += 1
         commutations += stats.commutations
@@ -117,7 +117,7 @@ def _complement_and_rotation(max_n: int, session, tally):
 
 def _sampler(max_n: int, session, tally):
     if max_n >= 4:
-        words = enumerate_words(longest_element(4), session=session(4))
+        words = enumerate_words(longest_element(4))
         observed = dict.fromkeys(words, 0)
         for index in range(16000):
             word = sample_word(4, trial_generator(2024, index))
@@ -191,5 +191,5 @@ def run_all(max_n: int = 6) -> list[CheckResult]:
     if not MIN_N <= max_n <= MAX_N:
         raise ValueError(f"max_n must lie in [{MIN_N}, {MAX_N}], got {max_n}")
     session = functools.cache(CountingSession)
-    tally = functools.cache(lambda n: _enumeration_pass(n, session(n)))
+    tally = functools.cache(_enumeration_pass)
     return [_run(name, check(max_n, session, tally)) for name, check in _CHECKS]

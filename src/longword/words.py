@@ -217,33 +217,23 @@ class CountingSession:
         return Fraction(self._table[self._rank(d)], denom)
 
 
-def count_words(w: Sequence[int], session: CountingSession | None = None) -> int:
-    """Exact number of reduced words of w (fresh session unless given).
+def count_words(w: Sequence[int]) -> int:
+    """Exact number of reduced words of w, from a fresh CountingSession.
 
     >>> count_words((4, 3, 2, 1))
     16
     >>> count_words((1, 2, 3))
     1
     """
-    if session is None:
-        session = CountingSession(len(tuple(w)))
-    return session.count(w)
+    return CountingSession(len(tuple(w))).count(w)
 
 
-def prefix_probability(
-    w: Sequence[int],
-    prefix: Sequence[int],
-    session: CountingSession | None = None,
-) -> Fraction:
+def prefix_probability(w: Sequence[int], prefix: Sequence[int]) -> Fraction:
     """Exact probability that a uniform reduced word of w starts with prefix."""
-    if session is None:
-        session = CountingSession(len(tuple(w)))
-    return session.prefix_probability(w, prefix)
+    return CountingSession(len(tuple(w))).prefix_probability(w, prefix)
 
 
-def enumerate_words(
-    w: Sequence[int], session: CountingSession | None = None
-) -> Iterator[Word]:
+def enumerate_words(w: Sequence[int]) -> Iterator[Word]:
     """All reduced words of w in lexicographic order, each exactly once.
 
     Refuses with ResourceCapError when the exact count exceeds
@@ -256,9 +246,7 @@ def enumerate_words(
     """
     t = check_permutation(w)
     n = len(t)
-    if session is None:
-        session = CountingSession(n)
-    total = session.count(t)
+    total = CountingSession(n).count(t)
     if total > MAX_ENUMERATED_WORDS:
         raise ResourceCapError(
             f"{t!r} has {total} reduced words, above the cap of {MAX_ENUMERATED_WORDS}"

@@ -18,13 +18,13 @@ def sessions():
 
 
 @pytest.fixture(scope="session")
-def words_of_longest(sessions):
+def words_of_longest():
     """Materialized reduced-word lists of the longest element, per degree."""
     cache = {}
 
     def get(n):
         if n not in cache:
-            cache[n] = list(enumerate_words(longest_element(n), session=sessions(n)))
+            cache[n] = list(enumerate_words(longest_element(n)))
         return cache[n]
 
     return get

@@ -1,8 +1,12 @@
+import doctest
 import hashlib
 import json
 import math
+import re
+import shlex
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +23,7 @@ from longword.expectations import (
     expected_noncommuting_float,
 )
 from longword.render import float_text
-from longword.sampling import TRIALS_CAP
+from longword.sampling import DEGREE_CAP, TRIALS_CAP
 from longword.tableaux import hook_length_count
 
 
@@ -128,7 +132,7 @@ def test_sample_single_trial_flags_nan(capsys):
 
 
 def test_sample_usage_errors(capsys):
-    assert run_cli(capsys, "sample", "--n", "12", "--trials", "5")[0] == 2
+    assert run_cli(capsys, "sample", "--n", str(DEGREE_CAP + 1), "--trials", "5")[0] == 2
     assert run_cli(capsys, "sample", "--n", "4", "--trials", "0")[0] == 2
     assert run_cli(capsys, "sample", "--n", "4", "--trials", "5", "--jobs", "0")[0] == 2
     assert (
@@ -234,6 +238,7 @@ def test_float_cap_is_refused_up_front(capsys):
         ("table", "--from", "3", "--to", str(last)),
         ("sample", "--n", "10", "--trials", str(TRIALS_CAP + 1)),
         ("sample", "--n", "10", "--trials", str(10**9)),
+        ("sample", "--n", "300", "--trials", "1000"),
     ):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *args)
@@ -245,7 +250,8 @@ def test_caps_note_is_pinned():
     # the --help epilog restates every cap, wherever its constant lives
     assert _CAPS_NOTE == (
         "caps: count and dp require n <= 10, enumerate requires n <= 6, "
-        "sample requires n <= 10 and --trials <= 1000000, "
+        "sample requires n <= 300 and --trials <= 1000000 at n <= 10, "
+        "scaled by (10/n)^3 beyond, "
         "exact closed-form rationals stop at n <= 300 (floating path beyond, "
         "up to n <= 100000000; a table's floating rows may sum to that many "
         "degrees), table rows carry exact columns only for n <= 10"
@@ -363,3 +369,26 @@ def test_float_text_renders_specials():
     assert float_text(float("-inf")) == "-Infinity"
     assert float_text(1.25) == "1.25"
     assert float(float_text(1 / 3)) == 1 / 3
+
+
+def readme_commands():
+    """(argv, shown output) for each README block that starts `$ longword`."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    found = []
+    for block in re.findall(r"^```\n(\$ longword .*?)^```", text, re.M | re.S):
+        command, shown = block.split("\n", 1)
+        found.append((shlex.split(command)[2:], shown))
+    return found
+
+
+def test_readme_cli_examples_match(capsys):
+    """Each README command prints what README shows; `...` stands for any text."""
+    examples = readme_commands()
+    subcommands = ["count", "expect", "sample", "table", "asymptotics", "verify"]
+    assert [argv[0] for argv, _ in examples] == subcommands
+    checker = doctest.OutputChecker()
+    flags = doctest.ELLIPSIS | doctest.DONT_ACCEPT_TRUE_FOR_1
+    for argv, shown in examples:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        assert checker.check_output(shown, out, flags), (argv, out)

@@ -206,7 +206,7 @@ def test_expectation_report_methods_agree(sessions):
     for n in (4, 5):
         closed = expectation_report(n, "closed_form")
         dp = expectation_report(n, "dp", session=sessions(n))
-        enum = expectation_report(n, "enumeration", session=sessions(n))
+        enum = expectation_report(n, "enumeration")
         assert closed.e_commutations == dp.e_commutations == enum.e_commutations
         assert closed.e_noncommuting == dp.e_noncommuting == enum.e_noncommuting
         assert {closed.method, dp.method, enum.method} == {

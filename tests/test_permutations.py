@@ -1,3 +1,4 @@
+import time
 from itertools import combinations, permutations as iter_permutations
 
 import pytest
@@ -110,6 +111,14 @@ def test_is_vexillary_examples():
 @given(perms())
 def test_is_vexillary_matches_oracle(w):
     assert is_vexillary(w) == oracle_vexillary(w)
+
+
+def test_is_vexillary_answers_large_degrees_quickly():
+    n = 10**4
+    started = time.perf_counter()
+    assert is_vexillary(longest_element(n))
+    assert not is_vexillary(tuple(range(n, 4, -1)) + (2, 1, 4, 3))
+    assert time.perf_counter() - started < 1
 
 
 def test_shape_of_examples():

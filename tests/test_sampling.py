@@ -3,7 +3,12 @@ import time
 
 import pytest
 
-from longword.expectations import expected_braids, expected_commutations
+from longword.expectations import (
+    expected_braids,
+    expected_commutations,
+    expected_noncommuting,
+    proportions,
+)
 from longword.permutations import longest_element
 from longword.render import sample_json
 from longword.sampling import (
@@ -106,6 +111,10 @@ def test_monte_carlo_rejects_bad_arguments():
     start = time.perf_counter()
     with pytest.raises(ResourceCapError):
         monte_carlo(10, TRIALS_CAP + 1, seed=0)
+    with pytest.raises(ResourceCapError):
+        monte_carlo(300, 10**6, seed=0)
+    with pytest.raises(ResourceCapError):
+        monte_carlo(100, 1001, seed=0)
     assert time.perf_counter() - start < 1
 
 
@@ -225,9 +234,22 @@ def test_sample_word_degree_thirty():
     assert evaluate(30, sample_word(30, trial_generator(30, 0))) == longest_element(30)
 
 
-def test_monte_carlo_degree_twelve_means():
-    summary = monte_carlo(12, 2000, seed=12)
-    err = abs(summary.mean_commutations - float(expected_commutations(12)))
+@pytest.mark.parametrize("n, trials", [(12, 2000), (30, 200), (45, 80), (60, 40)])
+def test_monte_carlo_means_beyond_the_tables(n, trials):
+    """Seeded means within 4 se of the closed form and of braid mean 1."""
+    summary = monte_carlo(n, trials, seed=n)
+    err = abs(summary.mean_commutations - float(expected_commutations(n)))
     assert err <= 4 * summary.se_commutations
     err = abs(summary.mean_braids - float(expected_braids()))
     assert err <= 4 * summary.se_braids
+
+
+def test_noncommuting_share_tracks_leading_order_at_degree_hundred():
+    """Sampled share vs 256/(9 pi^2 n): 4 se plus the exact O(1/n) gap."""
+    n = 100
+    ell = n * (n - 1) // 2
+    summary = monte_carlo(n, 20, seed=n)
+    lead = proportions(n)[1]
+    gap = abs(float(expected_noncommuting(n)) / ell - lead)
+    err = abs(summary.mean_noncommuting / ell - lead)
+    assert err <= 4 * summary.se_noncommuting / ell + gap

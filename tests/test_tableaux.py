@@ -142,13 +142,11 @@ def test_tableau_ratio_is_a_probability():
         assert 0 < total < 1
 
 
-def test_tableau_ratio_equals_prefix_probability(sessions):
+def test_tableau_ratio_equals_prefix_probability():
     for n in range(3, 7):
         w0 = longest_element(n)
         for j in range(1, n - 1):
-            assert tableau_ratio(n, j) == prefix_probability(
-                w0, (j, j + 1), session=sessions(n)
-            )
+            assert tableau_ratio(n, j) == prefix_probability(w0, (j, j + 1))
 
 
 def test_staircase_count_matches_word_count(sessions):

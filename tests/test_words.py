@@ -161,42 +161,40 @@ def test_stanley_count_for_every_vexillary_degree_five(sessions):
             assert session.count(w) == hook_length_count(shape_of(w))
 
 
-def test_prefix_probability_examples(sessions):
+def test_prefix_probability_examples():
     w0 = longest_element(4)
-    assert prefix_probability(w0, (1, 2), session=sessions(4)) == Fraction(3, 16)
+    assert prefix_probability(w0, (1, 2)) == Fraction(3, 16)
     assert prefix_probability(longest_element(3), (1,)) == Fraction(1, 2)
-    assert prefix_probability(w0, (), session=sessions(4)) == 1
+    assert prefix_probability(w0, ()) == 1
 
 
-def test_prefix_probability_zero_when_not_shortening(sessions):
+def test_prefix_probability_zero_when_not_shortening():
     w0 = longest_element(4)
-    assert prefix_probability(w0, (1, 1), session=sessions(4)) == 0
+    assert prefix_probability(w0, (1, 1)) == 0
     assert prefix_probability((1, 2, 3), (1,)) == 0
 
 
-def test_prefix_probability_rejects_bad_letters(sessions):
+def test_prefix_probability_rejects_bad_letters():
     with pytest.raises(ValueError):
-        prefix_probability(longest_element(4), (4,), session=sessions(4))
+        prefix_probability(longest_element(4), (4,))
     with pytest.raises(ValueError):
-        prefix_probability(longest_element(4), (1, 1, 99), session=sessions(4))
+        prefix_probability(longest_element(4), (1, 1, 99))
 
 
-def test_prefix_probability_matches_enumeration(sessions, words_of_longest):
+def test_prefix_probability_matches_enumeration(words_of_longest):
     for n in range(3, 6):
         words = words_of_longest(n)
         for j in range(1, n - 1):
             starting = sum(1 for word in words if word[:2] == (j, j + 1))
-            assert prefix_probability(
-                longest_element(n), (j, j + 1), session=sessions(n)
-            ) == Fraction(starting, len(words))
+            assert prefix_probability(longest_element(n), (j, j + 1)) == Fraction(
+                starting, len(words)
+            )
 
 
-def test_prefix_probabilities_sum_to_one_over_first_letters(sessions):
+def test_prefix_probabilities_sum_to_one_over_first_letters():
     for n in range(2, 6):
         w0 = longest_element(n)
-        total = sum(
-            prefix_probability(w0, (i,), session=sessions(n)) for i in range(1, n)
-        )
+        total = sum(prefix_probability(w0, (i,)) for i in range(1, n))
         assert total == 1
 
 
