@@ -4,7 +4,7 @@ For a uniform random reduced word of the longest element of degree n
 (length ell = n(n-1)/2), the expected number of adjacent noncommuting
 pairs is a sum of n-2 explicit rationals, one per possible starting
 pair (j, j+1); commutations are the complement ell - 1 minus that.  The
-expected number of braid windows is the constant 1 for every degree.
+expected number of braid windows is the constant 1 for every degree n >= 3.
 
 Every closed form is built from one ratio sequence
 h(x) = (2x+1)!!/(2^x x!), with h(x) = h(x-1) (2x+1)/(2x).  The exact
@@ -156,8 +156,24 @@ def expected_commutations(n: int) -> Fraction:
 
 
 def expected_braids() -> Fraction:
-    """Mean count of braid windows in a uniform word: the constant 1."""
+    """Mean count of braid windows in a uniform word: 1 for n >= 3 (none at n = 2)."""
     return Fraction(1)
+
+
+def _window_mean(n: int, m: int, patterns, session: CountingSession | None) -> Fraction:
+    """Mean count of the m-letter windows of a uniform word of w0 that are patterns.
+
+    Rotation (words.rotate) is a bijection on the words of w0 that moves
+    letters 2..ell one place left, so each of the ell - m + 1 windows has
+    the law of the first: the mean is ell - m + 1 times the chance that
+    the word starts with one of the distinct patterns.  The session
+    refuses n > DP_CAP before w0 is built or any pattern is read.
+    """
+    if session is None:
+        session = CountingSession(n)
+    w0 = longest_element(n)
+    start = sum((session.prefix_probability(w0, p) for p in patterns), Fraction(0))
+    return (n * (n - 1) // 2 - m + 1) * start
 
 
 def expected_braids_by_counts(
@@ -165,27 +181,13 @@ def expected_braids_by_counts(
 ) -> Fraction:
     """Braid-window mean by word counts, independent of expected_braids().
 
-    Equals (ell-2) times the probability that a uniform word starts with
-    j, j+1, j or j+1, j, j+1 for some j.
-
     >>> expected_braids_by_counts(4)
     Fraction(1, 1)
     """
     if n < 2:
         raise ValueError(f"degree must be at least 2, got {n}")
-    if session is None:
-        session = CountingSession(n)
-    w0 = longest_element(n)
-    ell = n * (n - 1) // 2
-    window = sum(
-        (
-            session.prefix_probability(w0, (j, j + 1, j))
-            + session.prefix_probability(w0, (j + 1, j, j + 1))
-            for j in range(1, n - 1)
-        ),
-        Fraction(0),
-    )
-    return (ell - 2) * window
+    braids = (b for j in range(1, n - 1) for b in ((j, j + 1, j), (j + 1, j, j + 1)))
+    return _window_mean(n, 3, braids, session)
 
 
 def expected_noncommuting_float(n: int) -> float:
@@ -272,19 +274,13 @@ def expectation_report(
             )
         e_nonc = expected_noncommuting(n)
     elif method == "dp":
-        if session is None:
-            session = CountingSession(n)
-        w0 = longest_element(n)
-        start = sum(
-            (session.prefix_probability(w0, (j, j + 1)) for j in range(1, n - 1)),
-            Fraction(0),
-        )
-        e_nonc = 2 * (ell - 1) * start
+        pairs = (p for j in range(1, n - 1) for p in ((j, j + 1), (j + 1, j)))
+        e_nonc = _window_mean(n, 2, pairs, session)
     elif method == "enumeration":
-        w0 = longest_element(n)
+        CountingSession(n)  # refuses n > DP_CAP before w0 is built
         total = 0
         words = 0
-        for word in enumerate_words(w0):
+        for word in enumerate_words(longest_element(n)):
             total += word_stats(word).noncommuting
             words += 1
         e_nonc = Fraction(total, words)

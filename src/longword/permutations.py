@@ -46,17 +46,28 @@ def _inversion_code(w: Permutation) -> list[int]:
     d[0] is unused and d[n] is 0.  Value i is a left descent of w (i + 1
     stands left of i) exactly when d[i] > d[i + 1], and then s_i w has
     (d[i], d[i + 1]) replaced by (d[i + 1], d[i] - 1).  The only count of
-    inversions: length, left_descents and shape_of all read it.
+    inversions: length, left_descents and shape_of all read it.  A
+    Fenwick tree over the values read so far gives each d[v] in O(log n);
+    w must be a checked permutation, as the tree is indexed by value.
     """
-    d = [0] * (len(w) + 1)
+    n = len(w)
+    d = [0] * (n + 1)
+    tree = [0] * (n + 1)
     for p, v in enumerate(w):
-        d[v] = sum(u > v for u in w[:p])
+        i, at_most = v, 0
+        while i:
+            at_most += tree[i]
+            i &= i - 1
+        d[v] = p - at_most
+        while v <= n:
+            tree[v] += 1
+            v += v & -v
     return d
 
 
 def length(w: Permutation) -> int:
     """Number of inversions, i.e. pairs p < q with w(p) > w(q)."""
-    return sum(_inversion_code(w))
+    return sum(_inversion_code(check_permutation(w)))
 
 
 def apply_simple_left(i: int, w: Permutation) -> Permutation:
@@ -84,7 +95,7 @@ def left_descents(w: Permutation) -> set[int]:
     >>> left_descents((1, 2, 3))
     set()
     """
-    d = _inversion_code(w)
+    d = _inversion_code(check_permutation(w))
     return {i for i in range(1, len(w)) if d[i] > d[i + 1]}
 
 
@@ -133,7 +144,8 @@ def shape_of(w: Permutation) -> Shape:
     >>> shape_of((4, 2, 1, 3))
     (2, 1, 1)
     """
-    return tuple(sorted(filter(None, _inversion_code(w)), reverse=True))
+    d = _inversion_code(check_permutation(w))
+    return tuple(sorted(filter(None, d), reverse=True))
 
 
 def two_step_lowering(n: int, j: int) -> Permutation:

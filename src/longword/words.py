@@ -122,13 +122,15 @@ class CountingSession:
     code (0 is the identity).  Stripping a left descent lowers the rank,
     so one forward loop over the ranks fills it from the first-letter
     recursion count(w) = sum of count(s_i w) over left descents i.  The
-    first query fills it; a query raises ResourceCapError before any work
-    when n exceeds DP_CAP.
+    first query fills it; a session of degree n > DP_CAP refuses to be
+    built, with ResourceCapError.
     """
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError(f"degree must be at least 1, got {n}")
+        if n > DP_CAP:
+            raise ResourceCapError(f"degree {n} is above the table's cap of {DP_CAP}")
         self.n = n
         self._table: list[int] = []
 
@@ -138,12 +140,10 @@ class CountingSession:
         return len(self._table)
 
     def _fill(self) -> None:
-        """Fill the table once; refuse first when n > DP_CAP."""
+        """Fill the table once."""
         if self._table:
             return
         n = self.n
-        if n > DP_CAP:
-            raise ResourceCapError(f"degree {n} is above the table's cap of {DP_CAP}")
         # block[a] = (n - a)! is the weight of d[a]: the permutations that
         # share d[1..a] hold that many consecutive ranks.  block[0] = n!.
         block = [1] * (n + 1)

@@ -66,6 +66,10 @@ def test_expect_methods_agree(capsys):
 
 def test_expect_caps(capsys):
     assert run_cli(capsys, "expect", "--n", "7", "--method", "enumerate")[0] == 2
+    # refused before enumerate_words fills the n! count table
+    started = time.perf_counter()
+    assert run_cli(capsys, "expect", "--n", "10", "--method", "enumerate")[0] == 2
+    assert time.perf_counter() - started < 1
     assert run_cli(capsys, "expect", "--n", "11", "--method", "dp")[0] == 2
     assert run_cli(capsys, "expect", "--n", "1")[0] == 2
     assert run_cli(capsys, "expect", "--n", "4", "--method", "guess")[0] == 2

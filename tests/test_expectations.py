@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import longword.expectations
 from longword.expectations import (
     ASYMPTOTIC_COEFFICIENT,
     EXACT_CAP,
@@ -26,7 +27,7 @@ from longword.expectations import (
     sigma,
 )
 from longword.tableaux import tableau_ratio
-from longword.words import ResourceCapError, word_stats
+from longword.words import DP_CAP, ResourceCapError, word_stats
 
 
 def test_double_factorial():
@@ -123,6 +124,32 @@ def test_exact_cap_is_refused_up_front():
         with pytest.raises(ResourceCapError):
             exact(n)
         assert time.perf_counter() - start < 1, n
+
+
+@pytest.mark.parametrize(
+    "mean",
+    [
+        lambda n: expectation_report(n, "dp"),
+        lambda n: expectation_report(n, "enumeration"),
+        expected_braids_by_counts,
+    ],
+    ids=["dp", "enumeration", "braids"],
+)
+def test_word_count_means_refuse_before_building_w0(mean, monkeypatch):
+    def unbuilt(n):
+        raise AssertionError(f"longest_element({n}) was built before the cap")
+
+    monkeypatch.setattr(longword.expectations, "longest_element", unbuilt)
+    for n in (DP_CAP + 1, 10**8):
+        started = time.perf_counter()
+        with pytest.raises(ResourceCapError):
+            mean(n)
+        assert time.perf_counter() - started < 1, n
+
+
+def test_word_count_means_have_no_window_at_degree_two():
+    assert expectation_report(2, "dp").e_noncommuting == 0
+    assert expected_braids_by_counts(2) == 0
 
 
 def test_expected_braids_is_one():

@@ -121,6 +121,23 @@ def test_is_vexillary_answers_large_degrees_quickly():
     assert time.perf_counter() - started < 1
 
 
+def test_inversion_counts_answer_large_degrees_quickly():
+    n = 20000
+    w0 = longest_element(n)
+    started = time.perf_counter()
+    assert length(w0) == n * (n - 1) // 2
+    assert left_descents(w0) == set(range(1, n))
+    assert shape_of(w0) == staircase(n)
+    assert time.perf_counter() - started < 1
+
+
+@pytest.mark.parametrize("count", [length, left_descents, shape_of])
+@pytest.mark.parametrize("w", [(0, 1, 2), (2, 2, 1), (3, 1)])
+def test_inversion_counts_reject_non_permutations(count, w):
+    with pytest.raises(ValueError):
+        count(w)
+
+
 def test_shape_of_examples():
     assert shape_of((4, 3, 2, 1)) == (3, 2, 1)
     assert shape_of((4, 2, 1, 3)) == (2, 1, 1)

@@ -101,13 +101,13 @@ def test_count_words_validates_input():
 
 
 def test_counting_session_cap():
-    session = CountingSession(DP_CAP + 1)
     started = time.perf_counter()
-    for w in (identity(DP_CAP + 1), longest_element(DP_CAP + 1)):
+    for n in (DP_CAP + 1, 10**8):
         with pytest.raises(ResourceCapError):
-            session.count(w)
+            CountingSession(n)
     assert time.perf_counter() - started < 1
-    assert session.entries == 0
+    with pytest.raises(ResourceCapError):
+        count_words(identity(DP_CAP + 1))
 
 
 def test_oversized_count_is_refused_up_front():
