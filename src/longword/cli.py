@@ -9,6 +9,7 @@ import sys
 from . import verify
 from .expectations import (
     ASYMPTOTIC_COEFFICIENT,
+    ENUMERATE_CAP,
     EXACT_CLOSED_CAP,
     FLOAT_CAP,
     asymptotic_noncommuting,
@@ -23,8 +24,6 @@ from .sampling import DEGREE_CAP, TRIALS_CAP, monte_carlo
 from .tableaux import hook_length_count, staircase
 from .words import DP_CAP, ResourceCapError, count_words
 
-# Above 6, enumerate_words fills the n! count table (5.5 s at n = 10) before refusing.
-ENUMERATE_CAP = 6
 TABLE_EXACT_CAP = 10
 
 EXIT_OK = 0

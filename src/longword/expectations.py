@@ -22,12 +22,17 @@ from fractions import Fraction
 from math import factorial
 
 from .permutations import longest_element
-from .words import CountingSession, ResourceCapError, enumerate_words, word_stats
+from .words import CountingSession, ResourceCapError, _walk_words
 
 EXACT_CLOSED_CAP = 300
 EXACT_CAP = 10**4
 REFERENCE_CAP = 2000
 FLOAT_CAP = 10**8
+# The enumeration mean walks every word of w0: 292,864 of them at n = 6
+# and 1,100,742,656 at n = 7, above words.MAX_ENUMERATED_WORDS.  A cap on
+# the degree refuses before any work, where enumerate_words learns its
+# count from the n! word-count table first (5.5 s at n = 10).
+ENUMERATE_CAP = 6
 ASYMPTOTIC_COEFFICIENT = 128 / (9 * math.pi**2)
 
 
@@ -261,8 +266,10 @@ def expectation_report(
     closed_form runs the integer walk (floating path beyond the exact
     cap of 300); dp uses the whole-group word-count table through the
     starting-pair probabilities, from session when one is given;
-    enumeration averages over every word.  All methods agree exactly
-    wherever more than one applies.
+    enumeration averages the noncommuting pairs over every word, counted
+    as the word walk goes, with no word-count table.  Enumeration refuses
+    n > ENUMERATE_CAP and dp n > DP_CAP, with ResourceCapError, before
+    any work.  All methods agree exactly wherever more than one applies.
     """
     if n < 2:
         raise ValueError(f"degree must be at least 2, got {n}")
@@ -277,11 +284,13 @@ def expectation_report(
         pairs = (p for j in range(1, n - 1) for p in ((j, j + 1), (j + 1, j)))
         e_nonc = _window_mean(n, 2, pairs, session)
     elif method == "enumeration":
-        CountingSession(n)  # refuses n > DP_CAP before w0 is built
-        total = 0
-        words = 0
-        for word in enumerate_words(longest_element(n)):
-            total += word_stats(word).noncommuting
+        if n > ENUMERATE_CAP:
+            raise ResourceCapError(
+                f"enumerating the words of degree {n} is above the cap of {ENUMERATE_CAP}"
+            )
+        total = words = 0
+        for _, noncommuting in _walk_words(longest_element(n)):
+            total += noncommuting
             words += 1
         e_nonc = Fraction(total, words)
     else:

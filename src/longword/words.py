@@ -233,11 +233,67 @@ def prefix_probability(w: Sequence[int], prefix: Sequence[int]) -> Fraction:
     return CountingSession(len(tuple(w))).prefix_probability(w, prefix)
 
 
+def _walk_words(t: Permutation) -> Iterator[tuple[list[int], int]]:
+    """Walk the reduced words of the permutation t, in lexicographic order.
+
+    Yields (letters, noncommuting) once per word: letters is one buffer
+    that is overwritten in place after the yield, and noncommuting counts
+    its adjacent pairs with |a - b| = 1, as word_stats does.  The walk
+    goes down the tree of left-descent prefixes with an explicit stack:
+    depth k holds the letter letters[k], the next letter to try there
+    and the pair count of letters[:k].  When one letter is left, the
+    remaining permutation is s_k, whose inversion code is a single 1 at
+    k, so the leaf is found without trying the letters one by one.
+    """
+    n = len(t)
+    d = _inversion_code(t)
+    length = sum(d)
+    letters = [0] * length
+    if length < 2:
+        if length:
+            letters[0] = d.index(1)
+        yield letters, 0
+        return
+    last = length - 1
+    pairs = [0] * last
+    after = [1] * last
+    depth = 0
+    while True:
+        i = after[depth]
+        while i < n and d[i] <= d[i + 1]:
+            i += 1
+        if i == n:
+            # no letter is left to try here: step back and undo the letter above
+            if not depth:
+                return
+            depth -= 1
+            i = letters[depth]
+            d[i], d[i + 1] = d[i + 1] + 1, d[i]
+            after[depth] = i + 1
+            continue
+        d[i], d[i + 1] = d[i + 1], d[i] - 1
+        letters[depth] = i
+        c = pairs[depth]
+        if depth and (letters[depth - 1] - i) in (1, -1):
+            c += 1
+        if depth + 1 == last:
+            k = d.index(1)
+            letters[last] = k
+            yield letters, c + ((i - k) in (1, -1))
+            d[i], d[i + 1] = d[i + 1] + 1, d[i]
+            after[depth] = i + 1
+        else:
+            depth += 1
+            pairs[depth] = c
+            after[depth] = 1
+
+
 def enumerate_words(w: Sequence[int]) -> Iterator[Word]:
     """All reduced words of w in lexicographic order, each exactly once.
 
     Refuses with ResourceCapError when the exact count exceeds
-    MAX_ENUMERATED_WORDS, before yielding anything.
+    MAX_ENUMERATED_WORDS, when called and before yielding anything.
+    The words come from one explicit-stack walk, with no recursion.
 
     >>> list(enumerate_words((3, 2, 1)))
     [(1, 2, 1), (2, 1, 2)]
@@ -245,28 +301,12 @@ def enumerate_words(w: Sequence[int]) -> Iterator[Word]:
     [()]
     """
     t = check_permutation(w)
-    n = len(t)
-    total = CountingSession(n).count(t)
+    total = CountingSession(len(t)).count(t)
     if total > MAX_ENUMERATED_WORDS:
         raise ResourceCapError(
             f"{t!r} has {total} reduced words, above the cap of {MAX_ENUMERATED_WORDS}"
         )
-    d = _inversion_code(t)
-    length = sum(d)
-
-    def walk(prefix: list[int]) -> Iterator[Word]:
-        if len(prefix) == length:
-            yield tuple(prefix)
-            return
-        for i in range(1, n):
-            if d[i] > d[i + 1]:
-                d[i], d[i + 1] = d[i + 1], d[i] - 1
-                prefix.append(i)
-                yield from walk(prefix)
-                prefix.pop()
-                d[i], d[i + 1] = d[i + 1] + 1, d[i]
-
-    return walk([])
+    return (tuple(letters) for letters, _ in _walk_words(t))
 
 
 def rotate(n: int, letters: Sequence[int]) -> Word:

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 import longword.expectations
 from longword.expectations import (
     ASYMPTOTIC_COEFFICIENT,
+    ENUMERATE_CAP,
     EXACT_CAP,
     EXACT_CLOSED_CAP,
     REFERENCE_CAP,
@@ -127,20 +128,23 @@ def test_exact_cap_is_refused_up_front():
 
 
 @pytest.mark.parametrize(
-    "mean",
+    "mean, degrees",
     [
-        lambda n: expectation_report(n, "dp"),
-        lambda n: expectation_report(n, "enumeration"),
-        expected_braids_by_counts,
+        (lambda n: expectation_report(n, "dp"), (DP_CAP + 1, 10**8)),
+        (
+            lambda n: expectation_report(n, "enumeration"),
+            (ENUMERATE_CAP + 1, DP_CAP, DP_CAP + 1, 10**8),
+        ),
+        (expected_braids_by_counts, (DP_CAP + 1, 10**8)),
     ],
     ids=["dp", "enumeration", "braids"],
 )
-def test_word_count_means_refuse_before_building_w0(mean, monkeypatch):
+def test_word_count_means_refuse_before_building_w0(mean, degrees, monkeypatch):
     def unbuilt(n):
         raise AssertionError(f"longest_element({n}) was built before the cap")
 
     monkeypatch.setattr(longword.expectations, "longest_element", unbuilt)
-    for n in (DP_CAP + 1, 10**8):
+    for n in degrees:
         started = time.perf_counter()
         with pytest.raises(ResourceCapError):
             mean(n)
@@ -230,7 +234,7 @@ def test_proportions():
 
 
 def test_expectation_report_methods_agree(sessions):
-    for n in (4, 5):
+    for n in (3, 4, 5, 6):
         closed = expectation_report(n, "closed_form")
         dp = expectation_report(n, "dp", session=sessions(n))
         enum = expectation_report(n, "enumeration")
@@ -242,6 +246,13 @@ def test_expectation_report_methods_agree(sessions):
             "enumeration",
         }
         assert closed.float_value == float(closed.e_commutations)
+
+
+def test_enumeration_report_counts_pairs_as_word_stats_does(words_of_longest):
+    for n in range(3, 6):
+        words = words_of_longest(n)
+        mean = Fraction(sum(word_stats(w).noncommuting for w in words), len(words))
+        assert expectation_report(n, "enumeration").e_noncommuting == mean
 
 
 def test_expectation_report_beyond_exact_cap():

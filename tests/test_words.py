@@ -71,13 +71,13 @@ def test_enumerate_words_examples():
 
 
 def test_enumerate_words_over_whole_degree_four():
-    for w in iter_permutations(range(1, 5)):
-        w = tuple(w)
-        words = list(enumerate_words(w))
-        assert words == sorted(words)
-        assert len(set(words)) == len(words) == count_words(w)
-        for word in words:
-            assert evaluate(4, word) == w
+    for n in (4, 5):
+        for w in iter_permutations(range(1, n + 1)):
+            words = list(enumerate_words(w))
+            assert words == sorted(words)
+            assert len(set(words)) == len(words) == count_words(w)
+            for word in words:
+                assert evaluate(n, word) == w
 
 
 def test_enumerate_words_cap():
