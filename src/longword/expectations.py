@@ -31,7 +31,7 @@ FLOAT_CAP = 10**8
 # The enumeration mean walks every word of w0: 292,864 of them at n = 6
 # and 1,100,742,656 at n = 7, above words.MAX_ENUMERATED_WORDS.  A cap on
 # the degree refuses before any work, where enumerate_words learns its
-# count from the n! word-count table first (5.5 s at n = 10).
+# count from the n! word-count table first (1.5 s at n = 10).
 ENUMERATE_CAP = 6
 ASYMPTOTIC_COEFFICIENT = 128 / (9 * math.pi**2)
 

@@ -124,6 +124,20 @@ def test_oversized_prefix_probability_is_refused_up_front():
     assert time.perf_counter() - started < 1
 
 
+def test_enumerate_words_counts_on_the_moved_window():
+    # one word, though a table of the full degree 10 would cost the 10! fill
+    started = time.perf_counter()
+    assert list(enumerate_words((2, 1) + tuple(range(3, 11)))) == [(1,)]
+    assert time.perf_counter() - started < 1
+    # degree 12, past DP_CAP, moving only positions 3..6
+    w = (1, 2, 6, 4, 3, 5) + tuple(range(7, 13))
+    window = (4, 2, 1, 3)
+    assert list(enumerate_words(w)) == [
+        tuple(i + 2 for i in word) for word in enumerate_words(window)
+    ]
+    assert list(enumerate_words(identity(DP_CAP + 1))) == [()]
+
+
 def test_deep_permutation_is_refused_up_front():
     # Few permutations lie below these, but their degree is far past the cap.
     started = time.perf_counter()
@@ -146,7 +160,8 @@ def count_via_right_descents(w, memo):
 
 
 def test_left_and_right_recursions_agree():
-    for n in (4, 5, 6):
+    # from n = 7 on, head descents add runs as slices; at n = 8 both kinds do
+    for n in range(4, 9):
         session = CountingSession(n)
         memo = {identity(n): 1}
         for w in iter_permutations(range(1, n + 1)):
