@@ -39,6 +39,8 @@ ASYMPTOTIC_COEFFICIENT = 128 / (9 * math.pi**2)
 def double_factorial(m: int) -> int:
     """Product m(m-2)(m-4)... down to 1 or 2; (-1)!! = 0!! = 1.
 
+    Refuses m > 2 REFERENCE_CAP + 1, the range sigma needs, before any work.
+
     >>> double_factorial(5)
     15
     >>> double_factorial(0)
@@ -46,6 +48,8 @@ def double_factorial(m: int) -> int:
     """
     if m < -1:
         raise ValueError(f"double factorial needs m >= -1, got {m}")
+    if m > 2 * REFERENCE_CAP + 1:  # 4.5 s at m = 2 * 10^5 + 1 (2 CPUs)
+        raise ResourceCapError(f"{m}!! is above the cap of {2 * REFERENCE_CAP + 1}")
     result = 1
     while m > 1:
         result *= m
@@ -55,6 +59,8 @@ def double_factorial(m: int) -> int:
 
 def half_integer_ratio(i: int) -> Fraction:
     """The ratio (2i+1)!! / (2^i i!), equal to 1 at i = 0.
+
+    Refuses i > REFERENCE_CAP before any work, in double_factorial.
 
     >>> half_integer_ratio(1)
     Fraction(3, 2)
@@ -83,8 +89,7 @@ def sigma(n: int, j: int) -> Fraction:
     if not 1 <= j <= n - 2:
         raise ValueError(f"index must lie in [1, {n - 2}], got {j}")
     if n > REFERENCE_CAP:
-        # each term rebuilds its double factorials: one term takes about 16 s
-        # at n = 10^5, and the sum over j 6-8 s at n = 2000 and 50 s at 4000
+        # the sum over j takes 6-8 s at n = 2000 and 50 s at 4000 (2 CPUs)
         raise ResourceCapError(
             f"the reference term of degree {n} is above the cap of {REFERENCE_CAP}"
         )
@@ -165,25 +170,22 @@ def expected_braids() -> Fraction:
     return Fraction(1)
 
 
-def _window_mean(n: int, m: int, patterns, session: CountingSession | None) -> Fraction:
+def _window_mean(n: int, m: int, patterns) -> Fraction:
     """Mean count of the m-letter windows of a uniform word of w0 that are patterns.
 
     Rotation (words.rotate) is a bijection on the words of w0 that moves
     letters 2..ell one place left, so each of the ell - m + 1 windows has
     the law of the first: the mean is ell - m + 1 times the chance that
-    the word starts with one of the distinct patterns.  The session
-    refuses n > DP_CAP before w0 is built or any pattern is read.
+    the word starts with one of the distinct patterns.  The word-count
+    table refuses n > DP_CAP before w0 is built or any pattern is read.
     """
-    if session is None:
-        session = CountingSession(n)
+    table = CountingSession(n)
     w0 = longest_element(n)
-    start = sum((session.prefix_probability(w0, p) for p in patterns), Fraction(0))
+    start = sum((table.prefix_probability(w0, p) for p in patterns), Fraction(0))
     return (n * (n - 1) // 2 - m + 1) * start
 
 
-def expected_braids_by_counts(
-    n: int, session: CountingSession | None = None
-) -> Fraction:
+def expected_braids_by_counts(n: int) -> Fraction:
     """Braid-window mean by word counts, independent of expected_braids().
 
     >>> expected_braids_by_counts(4)
@@ -192,7 +194,7 @@ def expected_braids_by_counts(
     if n < 2:
         raise ValueError(f"degree must be at least 2, got {n}")
     braids = (b for j in range(1, n - 1) for b in ((j, j + 1, j), (j + 1, j, j + 1)))
-    return _window_mean(n, 3, braids, session)
+    return _window_mean(n, 3, braids)
 
 
 def expected_noncommuting_float(n: int) -> float:
@@ -256,20 +258,16 @@ class ExpectationReport:
                 )
 
 
-def expectation_report(
-    n: int,
-    method: str = "closed_form",
-    session: CountingSession | None = None,
-) -> ExpectationReport:
+def expectation_report(n: int, method: str = "closed_form") -> ExpectationReport:
     """Compute the commutation expectation by the requested method.
 
     closed_form runs the integer walk (floating path beyond the exact
-    cap of 300); dp uses the whole-group word-count table through the
-    starting-pair probabilities, from session when one is given;
-    enumeration averages the noncommuting pairs over every word, counted
-    as the word walk goes, with no word-count table.  Enumeration refuses
-    n > ENUMERATE_CAP and dp n > DP_CAP, with ResourceCapError, before
-    any work.  All methods agree exactly wherever more than one applies.
+    cap of 300); dp fills its own whole-group word-count table and reads
+    the starting-pair probabilities off it; enumeration averages the
+    noncommuting pairs over every word, counted as the word walk goes,
+    with no word-count table.  Enumeration refuses n > ENUMERATE_CAP and
+    dp n > DP_CAP, with ResourceCapError, before any work.  All methods
+    agree exactly wherever more than one applies.
     """
     if n < 2:
         raise ValueError(f"degree must be at least 2, got {n}")
@@ -282,7 +280,7 @@ def expectation_report(
         e_nonc = expected_noncommuting(n)
     elif method == "dp":
         pairs = (p for j in range(1, n - 1) for p in ((j, j + 1), (j + 1, j)))
-        e_nonc = _window_mean(n, 2, pairs, session)
+        e_nonc = _window_mean(n, 2, pairs)
     elif method == "enumeration":
         if n > ENUMERATE_CAP:
             raise ResourceCapError(

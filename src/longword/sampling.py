@@ -41,8 +41,10 @@ DEGREE_CAP = 300
 def trial_generator(seed: int, index: int) -> random.Random:
     """Deterministic generator for one trial of one seeded run.
 
-    seed must fit in a signed 64-bit integer, index in an unsigned one.
+    seed must lie in [-2**63, 2**63) and index in [0, 2**64), else ValueError.
     """
+    if not (-(2**63) <= seed < 2**63 and 0 <= index < 2**64):
+        raise ValueError(f"seed {seed} must fit int64 and index {index} uint64")
     key = hashlib.sha256(struct.pack("<qQ", seed, index)).digest()
     return random.Random(int.from_bytes(key, "big"))
 
@@ -198,8 +200,8 @@ def monte_carlo(
     faster; workers (at least 1) and session are accepted for
     compatibility and ignored.  A draw costs O(n^3), so trials above
     TRIALS_CAP * (10 / max(n, 10))^3 (37 at n = 300) are refused with
-    ResourceCapError before any draw; the first sample_word call refuses
-    n > DEGREE_CAP the same way.
+    ResourceCapError before any draw; the first trial refuses n > DEGREE_CAP
+    the same way, and a seed outside the signed 64-bit range with ValueError.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -17,11 +18,9 @@ HOOK_CELLS_CAP = 10**5
 def check_partition(parts: Sequence[int]) -> Shape:
     """Return parts as a tuple, dropping trailing zeros; reject non-partitions."""
     t = tuple(parts)
-    while t and t[-1] == 0:
-        t = t[:-1]
     if any(a < b for a, b in zip(t, t[1:])) or any(p < 0 for p in t):
         raise ValueError(f"not a partition: {tuple(parts)!r}")
-    return t
+    return t[: len(t) - t.count(0)]  # a partition's zeros all trail
 
 
 def staircase(n: int) -> Shape:
@@ -38,11 +37,12 @@ def staircase(n: int) -> Shape:
 
 
 def conjugate(shape: Shape) -> Shape:
-    """Transpose of the diagram: column lengths read as a partition."""
+    """Column lengths of the diagram; refuses over HOOK_CELLS_CAP cells first."""
     parts = check_partition(shape)
-    if not parts:
-        return ()
-    return tuple(sum(1 for p in parts if p > c) for c in range(parts[0]))
+    if sum(parts) > HOOK_CELLS_CAP:
+        raise ResourceCapError(f"{sum(parts)} cells exceed the cap of {HOOK_CELLS_CAP}")
+    ascending = [-p for p in parts]  # column c is as long as the count of parts > c
+    return tuple(bisect_left(ascending, -c) for c in range(parts[0] if parts else 0))
 
 
 def delete_corners(shape: Shape, rows: tuple[int, int]) -> Shape:
@@ -82,11 +82,13 @@ class HookGrid:
 def hook_grid(shape: Shape) -> HookGrid:
     """Hook length of each cell: arm + leg + 1.
 
+    Refuses more than HOOK_CELLS_CAP cells, in conjugate, before any work.
+
     >>> hook_grid((3, 2, 1)).hooks
     ((5, 3, 1), (3, 1), (1,))
     """
+    cols = conjugate(shape)
     parts = check_partition(shape)
-    cols = conjugate(parts)
     rows = tuple(
         tuple(parts[r] - c + cols[c] - r - 1 for c in range(parts[r]))
         for r in range(len(parts))
@@ -97,17 +99,15 @@ def hook_grid(shape: Shape) -> HookGrid:
 def hook_length_count(shape: Shape) -> int:
     """Number of standard fillings: size! / product of hooks, exactly.
 
-    Refuses more than HOOK_CELLS_CAP cells with ResourceCapError first.
+    Refuses over HOOK_CELLS_CAP cells with ResourceCapError first, in hook_grid.
 
     >>> hook_length_count((3, 2, 1))
     16
     >>> hook_length_count((2, 1, 1))
     3
     """
-    size = sum(check_partition(shape))
-    if size > HOOK_CELLS_CAP:
-        raise ResourceCapError(f"{size} cells are above the cap of {HOOK_CELLS_CAP}")
     grid = hook_grid(shape)
+    size = sum(grid.shape)
     product = 1
     for row in grid.hooks:
         for h in row:

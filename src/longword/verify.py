@@ -29,9 +29,8 @@ MAX_N = 10
 class CheckResult:
     """One check's verdict; seconds is the wall time spent draining its legs.
 
-    The time includes filling any shared cache (a counting session or an
-    enumeration pass) that the check is the first to ask for, so a later
-    check that reuses it looks cheaper than it would alone.
+    It includes each shared enumeration pass the check is the first to ask
+    for, so a later check that reuses the pass looks cheaper than alone.
     """
 
     name: str
@@ -49,58 +48,59 @@ def _within(label: str, off: float, bound: float, spec: str) -> tuple[str, bool,
 
 
 def _enumeration_pass(n: int):
-    """One walk over w0's words: both means, the word count, the first bad word."""
+    """One walk over w0's words: the braid mean, the word count, the first bad word."""
     w0 = longest_element(n)
     ell = n * (n - 1) // 2
-    words = commutations = braids = 0
+    words = braids = 0
     bad = None
     for word in enumerate_words(w0):
         stats = word_stats(word)
         words += 1
-        commutations += stats.commutations
         braids += stats.braids
         if bad is None:
-            rotated = rotate(n, word)
-            split = stats.commutations + stats.noncommuting == ell - 1
-            rotates = rotated[-1] == n - word[0] and evaluate(n, rotated) == w0
-            if not (split and rotates):
+            try:
+                rotated = rotate(n, word)
+                rotates = rotated[-1] == n - word[0] and evaluate(n, rotated) == w0
+            except ValueError:  # rotate or evaluate refuses a non-word of w0
+                rotates = False
+            if not (rotates and stats.commutations + stats.noncommuting == ell - 1):
                 bad = word
-    return Fraction(commutations, words), Fraction(braids, words), words, bad
+    return Fraction(braids, words), words, bad
 
 
-def _commutation_enumeration(max_n: int, session, tally):
+def _commutation_enumeration(max_n: int, tally):
     for n in range(MIN_N, min(6, max_n) + 1):
-        mean, _, _, _ = tally(n)
-        yield _same(f"n={n}", mean, ex.expected_commutations(n))
+        via_words = ex.expectation_report(n, "enumeration").e_commutations
+        yield _same(f"n={n}", via_words, ex.expected_commutations(n))
 
 
-def _commutation_dp(max_n: int, session, tally):
+def _commutation_dp(max_n: int, tally):
     for n in range(7, min(9, max_n) + 1):
-        via_counts = ex.expectation_report(n, "dp", session(n)).e_commutations
+        via_counts = ex.expectation_report(n, "dp").e_commutations
         yield _same(f"n={n}", via_counts, ex.expected_commutations(n))
 
 
-def _braid_mean(max_n: int, session, tally):
+def _braid_mean(max_n: int, tally):
     for n in range(MIN_N, min(6, max_n) + 1):
-        _, mean, _, _ = tally(n)
+        mean, _, _ = tally(n)
         yield _same(f"enum n={n}", mean, ex.expected_braids())
     for n in range(7, min(9, max_n) + 1):
-        via_counts = ex.expected_braids_by_counts(n, session(n))
+        via_counts = ex.expected_braids_by_counts(n)
         yield _same(f"counts n={n}", via_counts, ex.expected_braids())
 
 
-def _counts_vs_hooks(max_n: int, session, tally):
+def _counts_vs_hooks(max_n: int, tally):
     for n in range(MIN_N, min(9, max_n) + 1):
-        by_words = session(n).count(longest_element(n))
-        yield _same(f"n={n}", by_words, hook_length_count(staircase(n)))
+        count = CountingSession(n).count
+        yield _same(f"n={n}", count(longest_element(n)), hook_length_count(staircase(n)))
         for j in range(1, n - 1) if n <= 7 else ():
-            by_words = session(n).count(two_step_lowering(n, j))
+            by_words = count(two_step_lowering(n, j))
             by_hooks = hook_length_count(delete_corners(staircase(n), (j, j + 1)))
             yield _same(f"n={n}, j={j}", by_words, by_hooks)
     return "count pairs agree"
 
 
-def _shapes(max_n: int, session, tally):
+def _shapes(max_n: int, tally):
     for n in range(MIN_N, max_n + 1):
         for j in range(1, n - 1):
             a = two_step_lowering(n, j)
@@ -109,13 +109,13 @@ def _shapes(max_n: int, session, tally):
     return "shapes agree"
 
 
-def _complement_and_rotation(max_n: int, session, tally):
+def _complement_and_rotation(max_n: int, tally):
     for n in range(MIN_N, min(6, max_n) + 1):
-        _, _, words, bad = tally(n)
+        _, words, bad = tally(n)
         yield f"n={n}", bad is None, f"fails for {bad}" if bad else f"{words} words"
 
 
-def _sampler(max_n: int, session, tally):
+def _sampler(max_n: int, tally):
     if max_n >= 4:
         words = enumerate_words(longest_element(4))
         observed = dict.fromkeys(words, 0)
@@ -137,7 +137,7 @@ def _sampler(max_n: int, session, tally):
         yield _within("n=10 braid mean", err, 4 * summary.se_braids, ".4f")
 
 
-def _linear_asymptotics(max_n: int, session, tally):
+def _linear_asymptotics(max_n: int, tally):
     distances = [
         abs(ex.expected_noncommuting_float(m) / m - ex.ASYMPTOTIC_COEFFICIENT)
         for m in (100, 200, 400, 800)
@@ -147,7 +147,7 @@ def _linear_asymptotics(max_n: int, session, tally):
     yield _within("n=800", distances[-1] / ex.ASYMPTOTIC_COEFFICIENT, 0.01, ".3%")
 
 
-def _proportions(max_n: int, session, tally):
+def _proportions(max_n: int, tally):
     ell = 800 * 799 // 2
     _, nonc_lead, braid_lead = ex.proportions(800)
     off = abs(ex.expected_noncommuting_float(800) / ell - nonc_lead) / nonc_lead
@@ -190,6 +190,5 @@ def run_all(max_n: int = 6) -> list[CheckResult]:
     """Run every check clamped to degrees <= max_n; asymptotic checks always run."""
     if not MIN_N <= max_n <= MAX_N:
         raise ValueError(f"max_n must lie in [{MIN_N}, {MAX_N}], got {max_n}")
-    session = functools.cache(CountingSession)
     tally = functools.cache(_enumeration_pass)
-    return [_run(name, check(max_n, session, tally)) for name, check in _CHECKS]
+    return [_run(name, check(max_n, tally)) for name, check in _CHECKS]

@@ -3,13 +3,7 @@ import functools
 import pytest
 
 from longword.permutations import longest_element
-from longword.words import CountingSession, enumerate_words
-
-
-@pytest.fixture(scope="session")
-def sessions():
-    """Shared per-degree counting sessions; the DP tables are expensive."""
-    return functools.cache(CountingSession)
+from longword.words import enumerate_words
 
 
 @pytest.fixture(scope="session")

@@ -357,6 +357,60 @@ def test_verify_names_first_bad_degree(capsys, monkeypatch, route, tampered, che
     assert line.startswith(f"FAIL  {check}: n=3: ")
 
 
+def test_verify_names_an_enumerated_non_word(capsys, monkeypatch):
+    """Seeded-bug drill: an enumeration that yields a non-word fails, naming it."""
+    true_enumerate = longword.verify.enumerate_words
+
+    def corrupted(w):
+        words = true_enumerate(w)
+        if len(w) == 4:
+            first = next(words)
+            yield (first[0],) + first[:-1]
+        yield from words
+
+    monkeypatch.setattr(longword.verify, "enumerate_words", corrupted)
+    code, out, _ = run_cli(capsys, "verify", "--max-n", "4")
+    lines = out.splitlines()
+    assert code == 1 and len(lines) == 9
+    check = "FAIL  per-word complement and rotation (n 3..6): n=4: "
+    assert next(x for x in lines if x.startswith(check)).endswith("(1, 1, 2, 1, 3, 2)")
+
+
+def _drop_first_word(walk):
+    next(walk)
+    yield from walk
+
+
+def _miscount_first_word(walk):
+    letters, noncommuting = next(walk)
+    yield letters, noncommuting + 1
+    yield from walk
+
+
+@pytest.mark.parametrize(
+    "tamper, first_bad",
+    [(_drop_first_word, 4), (_miscount_first_word, 3)],
+    ids=["drop", "miscount"],
+)
+def test_verify_reads_the_library_enumeration_mean(
+    capsys, monkeypatch, tamper, first_bad
+):
+    """Seeded-bug drill: a tampered word walk fails the enumeration mean.
+
+    Every word of degree 3 has two noncommuting pairs, so a dropped word
+    first shows at degree 4.
+    """
+    true_walk = longword.expectations._walk_words
+    monkeypatch.setattr(
+        longword.expectations, "_walk_words", lambda t: tamper(true_walk(t))
+    )
+    code, out, _ = run_cli(capsys, "verify", "--max-n", "4")
+    assert code == 1
+    check = "commutation mean by enumeration (n 3..6)"
+    line = next(line for line in out.splitlines() if f"  {check}: " in line)
+    assert line.startswith(f"FAIL  {check}: n={first_bad}: ")
+
+
 def test_verify_names_a_sampled_non_word(capsys, monkeypatch):
     """Seeded-bug drill: a sampler that draws a non-word fails, naming the word."""
     monkeypatch.setattr(longword.verify, "sample_word", lambda n, rng: (1,) * 6)

@@ -120,6 +120,10 @@ def test_exact_cap_is_refused_up_front():
         (expected_noncommuting_product_form, 10**6),
         (lambda n: sigma(n, 1), REFERENCE_CAP + 1),
         (lambda n: sigma(n, 1), 10**6),
+        (half_integer_ratio, REFERENCE_CAP + 1),
+        (half_integer_ratio, 10**5),
+        (double_factorial, 2 * REFERENCE_CAP + 2),
+        (double_factorial, 2 * 10**5 + 1),
     ):
         start = time.perf_counter()
         with pytest.raises(ResourceCapError):
@@ -161,16 +165,16 @@ def test_expected_braids_is_one():
     assert expected_braids() == Fraction(1)
 
 
-def test_braid_mean_by_counts_is_one(sessions):
+def test_braid_mean_by_counts_is_one():
     for n in range(3, 9):
-        assert expected_braids_by_counts(n, sessions(n)) == 1
+        assert expected_braids_by_counts(n) == 1
 
 
-def test_braid_mean_by_counts_matches_enumeration(sessions, words_of_longest):
+def test_braid_mean_by_counts_matches_enumeration(words_of_longest):
     for n in range(3, 6):
         words = words_of_longest(n)
         mean = Fraction(sum(word_stats(w).braids for w in words), len(words))
-        assert mean == expected_braids_by_counts(n, sessions(n))
+        assert mean == expected_braids_by_counts(n)
 
 
 def test_float_path_agrees_with_exact_at_cap():
@@ -233,10 +237,10 @@ def test_proportions():
         proportions(2)
 
 
-def test_expectation_report_methods_agree(sessions):
+def test_expectation_report_methods_agree():
     for n in (3, 4, 5, 6):
         closed = expectation_report(n, "closed_form")
-        dp = expectation_report(n, "dp", session=sessions(n))
+        dp = expectation_report(n, "dp")
         enum = expectation_report(n, "enumeration")
         assert closed.e_commutations == dp.e_commutations == enum.e_commutations
         assert closed.e_noncommuting == dp.e_noncommuting == enum.e_noncommuting

@@ -108,6 +108,12 @@ def test_monte_carlo_rejects_bad_arguments():
         monte_carlo(4, 0, seed=0)
     with pytest.raises(ValueError):
         monte_carlo(4, 10, seed=0, workers=0)
+    for seed in (2**63, -(2**63) - 1):
+        with pytest.raises(ValueError):
+            monte_carlo(4, 3, seed)
+    for seed, index in ((0, -1), (0, 2**64), (2**63, 0)):
+        with pytest.raises(ValueError):
+            trial_generator(seed, index)
     start = time.perf_counter()
     with pytest.raises(ResourceCapError):
         monte_carlo(10, TRIALS_CAP + 1, seed=0)

@@ -15,7 +15,7 @@ from longword.tableaux import (
     staircase,
     tableau_ratio,
 )
-from longword.words import ResourceCapError, prefix_probability
+from longword.words import ResourceCapError, count_words, prefix_probability
 
 
 @st.composite
@@ -118,6 +118,13 @@ def test_oversized_shape_is_refused_up_front():
     for shape in (staircase(2000), staircase(448), (HOOK_CELLS_CAP + 1,)):
         with pytest.raises(ResourceCapError):
             hook_length_count(shape)
+    for shape in (staircase(448), (10**7,), (1,) * (HOOK_CELLS_CAP + 1)):
+        for helper in (hook_grid, conjugate):
+            with pytest.raises(ResourceCapError):
+                helper(shape)
+    assert hook_length_count((1,) + (0,) * 10**5) == 1  # trailing zeros are dropped
+    hook = (HOOK_CELLS_CAP // 2,) + (1,) * (HOOK_CELLS_CAP // 2)  # at the cap
+    assert conjugate(hook)[:2] == (HOOK_CELLS_CAP // 2 + 1, 1)
     for n in (448, 10**9):
         with pytest.raises(ResourceCapError):
             tableau_ratio(n, 1)
@@ -149,9 +156,9 @@ def test_tableau_ratio_equals_prefix_probability():
             assert tableau_ratio(n, j) == prefix_probability(w0, (j, j + 1))
 
 
-def test_staircase_count_matches_word_count(sessions):
+def test_staircase_count_matches_word_count():
     for n in range(3, 8):
-        assert hook_length_count(staircase(n)) == sessions(n).count(longest_element(n))
+        assert hook_length_count(staircase(n)) == count_words(longest_element(n))
 
 
 def test_hook_difference_region():

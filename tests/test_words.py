@@ -86,10 +86,10 @@ def test_enumerate_words_cap():
         enumerate_words(longest_element(7))
 
 
-def test_count_words_examples(sessions):
+def test_count_words_examples():
     assert count_words((1, 2, 3)) == 1
     assert count_words((4, 3, 2, 1)) == 16
-    assert sessions(5).count(longest_element(5)) == 768
+    assert count_words(longest_element(5)) == 768
 
 
 def test_count_words_validates_input():
@@ -168,8 +168,8 @@ def test_left_and_right_recursions_agree():
             assert session.count(tuple(w)) == count_via_right_descents(tuple(w), memo)
 
 
-def test_stanley_count_for_every_vexillary_degree_five(sessions):
-    session = sessions(5)
+def test_stanley_count_for_every_vexillary_degree_five():
+    session = CountingSession(5)
     for w in iter_permutations(range(1, 6)):
         w = tuple(w)
         if is_vexillary(w):
