@@ -26,8 +26,6 @@ def json_object(pairs: list[tuple[str, object]]) -> str:
     for key, value in pairs:
         if value is None:
             text = "null"
-        elif isinstance(value, bool):
-            text = "true" if value else "false"
         elif isinstance(value, int):
             text = str(value)
         elif isinstance(value, float):

@@ -11,7 +11,9 @@ from typing import Sequence
 from .permutations import Shape
 from .words import ResourceCapError
 
-# hook_length_count takes 2.3 s at 79,800 cells, 43 s at 319,600 (2 CPUs).
+# hook_length_count takes 2.1-2.6 s at 79,800 cells (staircase(400)), and at
+# the cap 3.0-4.0 s for staircase(447) (99,681 cells) and 4.3-5.2 s for the
+# hook (50000, 1 x 50000); 43 s at 319,600 cells (2 CPUs).
 HOOK_CELLS_CAP = 10**5
 
 

@@ -16,6 +16,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import factorial
 from typing import Iterator, Sequence
 
 from .permutations import (
@@ -30,11 +31,11 @@ Word = tuple[int, ...]
 # The table holds n! entries; 10! fill in about 1.5 s and 194 MiB (2 CPUs).
 DP_CAP = 10
 MAX_ENUMERATED_WORDS = 10_000_000
-# The fill runs the recursion inside blocks of _TAIL! ranks that share all
+# The fill runs the pair kernel on blocks of _TAIL! ranks that share all
 # but the last _TAIL code digits.  Measured at n = 9 (2 CPUs, best of 3):
 # tails of 3, 4, 5 and 6 digits filled in 0.25, 0.13-0.17, 0.11-0.14 and
-# 0.09-0.13 s; 5 and 6 tied at n = 10 (1.3-1.6 s).  Five keeps the pair
-# list at 240 and runs every part of the fill from n = 7 on.
+# 0.09-0.13 s; 5 and 6 tied at n = 10 (1.3-1.6 s); slice adds all the way
+# down to single ranks took 1.0-1.4 s.  Five keeps the pair list at 240.
 _TAIL = 5
 
 
@@ -152,6 +153,38 @@ def _strip_pairs(k: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
+def _fill_block(table: list[int], lo: int, k: int) -> None:
+    """Finish the k! ranks from lo whose codes share all but the last k - 1 digits.
+
+    Call the free digits e[1..k - 1], with e[k] = 0.  On entry the block
+    holds the terms of the descents that involve a shared digit; this adds
+    those of the descents from e[1] on.  The block splits by e[1] = x into
+    sub-blocks of (k - 1)! ranks.  For each y < x, descent 1 holds on the
+    run e[2] = y of (k - 2)! ranks, and stripping it gives (e[1], e[2]) =
+    (y, x - 1), in the sub-block y that was finished before; the run takes
+    that as one slice add before the recursion enters sub-block x.  A
+    block of at most _TAIL! ranks runs the (rank, source) pairs of
+    _strip_pairs on a local copy.
+    """
+    if k <= _TAIL:
+        size = factorial(k)
+        v = table[lo : lo + size]
+        for r, s in _strip_pairs(k):
+            v[r] += v[s]
+        table[lo : lo + size] = v
+        return
+    sub = factorial(k - 1)
+    run = sub // (k - 1)
+    add = operator.add
+    for x in range(k):
+        b = lo + x * sub
+        for y in range(x):
+            t = b + y * run
+            s = lo + y * sub + (x - 1) * run
+            table[t : t + run] = map(add, table[t : t + run], table[s : s + run])
+        _fill_block(table, b, k - 1)
+
+
 class CountingSession:
     """Reduced-word counter for one degree n, over the whole group.
 
@@ -159,15 +192,9 @@ class CountingSession:
     degree n, indexed by the rank sum(d[a] * (n - a)!) of its inversion
     code (0 is the identity).  Stripping a left descent lowers the rank,
     so the table fills in rank order from the first-letter recursion
-    count(w) = sum of count(s_i w) over left descents i.  The fill walks
-    tail blocks of _TAIL! ranks that share the head digits
-    d[1..n - _TAIL].  A descent between two head digits adds its whole
-    run of ranks as one slice add where the run starts; the descent
-    between the last head digit and the first tail digit adds sub-blocks
-    of (_TAIL - 1)! ranks; the descents inside the tail run as the fixed
-    (rank, source) pairs of _strip_pairs on a local copy of the block.
-    For n <= _TAIL the whole table is one block.  The first query fills
-    it; a session of degree n > DP_CAP refuses to be built, with
+    count(w) = sum of count(s_i w) over left descents i, by one recursion
+    over the code digits (_fill_block).  The first query fills it; a
+    session of degree n > DP_CAP refuses to be built, with
     ResourceCapError.
     """
 
@@ -186,50 +213,10 @@ class CountingSession:
 
     def _fill(self) -> None:
         """Fill the table once."""
-        if self._table:
-            return
-        n = self.n
-        k = min(n, _TAIL)
-        h = n - k
-        # block[a] = (n - a)! is the weight of d[a]: the permutations that
-        # share d[1..a] hold that many consecutive ranks.  block[0] = n!.
-        block = [1] * (n + 1)
-        for a in range(n - 1, -1, -1):
-            block[a] = block[a + 1] * (n - a)
-        size, sub = block[h], block[h + 1]
-        pairs = _strip_pairs(k)
-        table = [1] + [0] * (block[0] - 1)
-        d = [0] * (n + 1)
-        add = operator.add
-        for b in range(0, block[0], size):
-            if b:
-                # step the head digits d[1..h] to the block that starts at b
-                a = h
-                while d[a] == n - a:
-                    d[a] = 0
-                    a -= 1
-                d[a] += 1
-                # Head descent i < h holds on all block[i + 1] ranks from b
-                # on that share d[1..i + 1]; only the runs of i = a - 1 and
-                # i = a start at b, as d[a + 1..h] = 0.  Stripping i moves
-                # the run back by off >= block[i], onto final ranks.
-                for i in (a - 1, a):
-                    g = d[i] - d[i + 1]
-                    if g > 0 and i < h:
-                        m = block[i + 1]
-                        s = b - g * (block[i] - m) - m
-                        table[b : b + m] = map(add, table[b : b + m], table[s : s + m])
-                # descent h, between d[h] and the first tail digit c, holds
-                # on the sub-blocks c < d[h]; their sources lie before b
-                for c in range(d[h]):
-                    t = b + c * sub
-                    s = t - (d[h] - c) * (size - sub) - sub
-                    table[t : t + sub] = map(add, table[t : t + sub], table[s : s + sub])
-            v = table[b : b + size]
-            for r, s in pairs:
-                v[r] += v[s]
-            table[b : b + size] = v
-        self._table = table
+        if not self._table:
+            table = [1] + [0] * (factorial(self.n) - 1)
+            _fill_block(table, 0, self.n)
+            self._table = table
 
     def _code(self, w: Sequence[int]) -> list[int]:
         """Inversion code of w, after checking its degree and filling the table."""

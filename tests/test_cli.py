@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import longword.cli
 import longword.expectations
 import longword.verify
 from longword.cli import _CAPS_NOTE, CSV_HEADER, main
@@ -50,6 +51,16 @@ def test_count_usage_errors(capsys):
     assert run_cli(capsys, "count", "--n", "11")[0] == 2
     assert run_cli(capsys, "count")[0] == 2
     assert run_cli(capsys, "bogus")[0] == 2
+
+
+def test_count_mismatch_exits_one(capsys, monkeypatch):
+    """Seeded-bug drill: a hook-length count off by one fails count with exit 1."""
+    monkeypatch.setattr(
+        longword.cli, "hook_length_count", lambda shape: hook_length_count(shape) + 1
+    )
+    code, out, err = run_cli(capsys, "count", "--n", "4")
+    assert (code, out) == (1, "")
+    assert err == "count mismatch at n=4: word recursion 16, hook lengths 17\n"
 
 
 def test_expect_methods_agree(capsys):

@@ -1,6 +1,10 @@
+import gc
+import hashlib
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations as iter_permutations
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -166,6 +170,48 @@ def test_left_and_right_recursions_agree():
         memo = {identity(n): 1}
         for w in iter_permutations(range(1, n + 1)):
             assert session.count(tuple(w)) == count_via_right_descents(tuple(w), memo)
+
+
+# sha256 of the comma-joined table after one query; n = 10 is pinned in CI
+TABLE_DIGESTS = {
+    7: "6bbd394177d6f41fd47a5211ba47692197d1121a458be96f282650a296f7ebe5",
+    8: "5afe0fc414e2c8eb364ba5fe5c97f715b208fee29d03ff28391447f68ee54c17",
+    9: "77e1582572b992d6b86725238ede31d30dbf8b68407f765f22a03f3a52298190",
+}
+
+
+@pytest.mark.parametrize("n", sorted(TABLE_DIGESTS))
+def test_counting_table_is_pinned(n):
+    session = CountingSession(n)
+    session.count(longest_element(n))
+    text = ",".join(map(str, session._table))
+    assert hashlib.sha256(text.encode()).hexdigest() == TABLE_DIGESTS[n]
+
+
+def test_entries_count_the_filled_table():
+    for n in range(1, 7):
+        session = CountingSession(n)
+        assert session.entries == 0
+        session.count(longest_element(n))
+        assert session.entries == factorial(n)
+
+
+def test_a_dropped_session_frees_its_table():
+    # No reference cycle may hold the table until the cyclic collector runs.
+    collecting = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        session = CountingSession(8)
+        session.count(longest_element(8))
+        filled, _ = tracemalloc.get_traced_memory()
+        del session
+        left, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        if collecting:
+            gc.enable()
+    assert left < filled / 10
 
 
 def test_stanley_count_for_every_vexillary_degree_five():
