@@ -29,6 +29,7 @@ from .expectations import (
 )
 from .permutations import (
     Permutation,
+    ResourceCapError,
     Shape,
     apply_simple_left,
     identity,
@@ -54,7 +55,6 @@ from .verify import CheckResult, run_all
 from .words import (
     CountingSession,
     NotReducedError,
-    ResourceCapError,
     Word,
     WordStats,
     count_words,

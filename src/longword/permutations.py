@@ -15,6 +15,10 @@ Permutation = tuple[int, ...]
 Shape = tuple[int, ...]
 
 
+class ResourceCapError(RuntimeError):
+    """A counting or enumeration request exceeded its configured cap."""
+
+
 def is_permutation(seq: Iterable[int]) -> bool:
     """True when seq is a rearrangement of 1..n for n = len(seq)."""
     values = list(seq)

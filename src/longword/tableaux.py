@@ -8,8 +8,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
-from .permutations import Shape
-from .words import ResourceCapError
+from .permutations import ResourceCapError, Shape
 
 # hook_length_count takes 2.1-2.6 s at 79,800 cells (staircase(400)), and at
 # the cap 3.0-4.0 s for staircase(447) (99,681 cells) and 4.3-5.2 s for the

@@ -27,8 +27,9 @@ from longword.expectations import (
     proportions,
     sigma,
 )
-from longword.tableaux import tableau_ratio
-from longword.words import DP_CAP, ResourceCapError, word_stats
+from longword.tableaux import conjugate, tableau_ratio
+from longword.verify import run_all
+from longword.words import DP_CAP, CountingSession, ResourceCapError, word_stats
 
 
 def test_double_factorial():
@@ -275,3 +276,23 @@ def test_expectation_report_validates():
         expectation_report(4, "guess")
     with pytest.raises(ValueError):
         expectation_report(1)
+
+
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (expected_noncommuting, (1,)),
+        (expected_noncommuting_float, (1,)),
+        (expected_noncommuting_product_form, (1,)),
+        (expected_braids_by_counts, (1,)),
+        (conjugate, ((1, 2),)),
+        (tableau_ratio, (2, 1)),
+        (tableau_ratio, (5, 4)),
+        (CountingSession, (0,)),
+        (run_all, (2,)),  # the CLI checks --max-n before the library can
+        (run_all, (11,)),
+    ],
+)
+def test_invalid_arguments_are_refused(call, args):
+    with pytest.raises(ValueError):
+        call(*args)

@@ -16,6 +16,7 @@ from longword.words import (
     CountingSession,
     NotReducedError,
     ResourceCapError,
+    _walk_words,
     count_words,
     enumerate_words,
     evaluate,
@@ -82,6 +83,31 @@ def test_enumerate_words_over_whole_degree_four():
             assert len(set(words)) == len(words) == count_words(w)
             for word in words:
                 assert evaluate(n, word) == w
+
+
+def _walk_digest(perms) -> str:
+    h = hashlib.sha256()
+    for w in perms:
+        for letters, noncommuting in _walk_words(w):
+            h.update(bytes(letters))
+            h.update(bytes([noncommuting, 255]))
+    return h.hexdigest()
+
+
+def test_walk_output_is_pinned():
+    # the same digest over every permutation of degree 6 is pinned in CI
+    assert (
+        _walk_digest(iter_permutations(range(1, 6)))
+        == "3b6be4b5d64e510030f88452774345d5a56cbe0cced97348f301d811c7c182ed"
+    )
+    assert (
+        _walk_digest([longest_element(6)])
+        == "6be9012994e8146e7a74573378e545cdfec23cd63301c05b2212d3f385816844"
+    )
+    for n in range(1, 6):  # the identity and the s_i take the short-word preamble
+        for w in iter_permutations(range(1, n + 1)):
+            for letters, noncommuting in _walk_words(w):
+                assert noncommuting == word_stats(letters).noncommuting
 
 
 def test_enumerate_words_cap():
@@ -164,7 +190,8 @@ def count_via_right_descents(w, memo):
 
 
 def test_left_and_right_recursions_agree():
-    # from n = 7 on, head descents add runs as slices; at n = 8 both kinds do
+    # n = 4, 5 fill by the pair kernel alone; from n = 6 on, _fill_block adds
+    # runs as slices above blocks of _TAIL! ranks, one more level per degree
     for n in range(4, 9):
         session = CountingSession(n)
         memo = {identity(n): 1}
