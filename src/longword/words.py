@@ -32,7 +32,7 @@ Word = tuple[int, ...]
 # The table holds n! entries; 10! fill in about 1.5 s and 194 MiB (2 CPUs).
 DP_CAP = 10
 # Admits 4,993 of the 5,040 permutations of degree 7.  Iterating the largest,
-# (6, 7, 3, 5, 4, 2, 1) at 9,189,180 words, took 17.4-20.7 s (2 us a word, 20 MiB peak).
+# (6, 7, 3, 5, 4, 2, 1) at 9,189,180 words, took 6.0-6.7 s (0.7 us a word, 19.5 MiB peak).
 MAX_ENUMERATED_WORDS = 10_000_000
 # The fill runs the pair kernel on blocks of _TAIL! ranks that share all
 # but the last _TAIL code digits.  Measured at n = 9 (2 CPUs, best of 3):
@@ -40,6 +40,13 @@ MAX_ENUMERATED_WORDS = 10_000_000
 # 0.09-0.13 s; 5 and 6 tied at n = 10 (1.3-1.6 s); slice adds all the way
 # down to single ranks took 1.0-1.4 s.  Five keeps the pair list at 240.
 _TAIL = 5
+# The word walk splices in its last _SPLICE letters from per-remainder lists.
+# Measured (2 CPUs, fresh processes, best of 3 walks): the walk of w0(6)
+# took 0.29-0.41, 0.20-0.33, 0.18-0.26 and 0.16-0.22 s for 3, 4, 5 and 6
+# letters (0.44-0.64 s letter by letter), and 2,000,000 words of
+# (6, 7, 3, 5, 4, 2, 1) through enumerate_words 1.8-2.9, 1.5-2.1, 1.2-1.6
+# and 1.0-1.3 s (3.8-4.7 s).  Six won 2 of 3 paired runs against five.
+_SPLICE = 6
 
 
 class NotReducedError(ValueError):
@@ -281,9 +288,16 @@ def _walk_words(t: Permutation) -> Iterator[tuple[list[int], int]]:
     goes down the tree of left-descent prefixes with an explicit stack:
     depth k holds letters[k] and the pair count of letters[:k], and
     undoing letters[k] resumes the scan at depth k from letters[k] + 1.
-    When one letter is left, the remaining permutation is s_k, whose
-    inversion code is a single 1 at k, so the leaf is found without
-    trying the letters one by one.
+    A word of more than _SPLICE letters is walked letter by letter only
+    until _SPLICE letters remain.  The permutation left there has its
+    words, with their first letters and pair counts, listed once per call
+    and keyed by its inversion code, by a walk of its own that is too
+    short to splice, so the recursion is one level deep.  Each word of t
+    is a walked prefix plus one listed suffix, in lexicographic order, and
+    its pair count is the prefix's plus the suffix's plus the junction
+    pair.  A shorter word is walked down to its last letter: the
+    permutation left is s_k, whose inversion code is a single 1 at k, so
+    the leaf is found without trying the letters one by one.
     """
     n = len(t)
     d = _inversion_code(t)
@@ -294,8 +308,10 @@ def _walk_words(t: Permutation) -> Iterator[tuple[list[int], int]]:
             letters[0] = d.index(1)
         yield letters, 0
         return
-    last = length - 1
-    pairs = [0] * last
+    splice = length > _SPLICE
+    top = length - (_SPLICE if splice else 1)  # letters[top:] are set at a leaf
+    suffixes: dict[tuple[int, ...], list[tuple[Word, int, int]]] = {}
+    pairs = [0] * top
     depth, i = 0, 1
     while True:
         while i < n and d[i] <= d[i + 1]:
@@ -306,14 +322,26 @@ def _walk_words(t: Permutation) -> Iterator[tuple[list[int], int]]:
             c = pairs[depth]
             if depth and (letters[depth - 1] - i) in (1, -1):
                 c += 1
-            if depth + 1 < last:
+            if depth + 1 < top:
                 depth += 1
                 pairs[depth] = c
                 i = 1
                 continue
-            k = d.index(1)
-            letters[last] = k
-            yield letters, c + ((i - k) in (1, -1))
+            if splice:
+                rest = suffixes.get(key := tuple(d))
+                if rest is None:
+                    u: list[int] = []  # the permutation whose inversion code is d
+                    for a in range(n, 0, -1):
+                        u.insert(d[a], a)
+                    rest = [(tuple(v), v[0], m) for v, m in _walk_words(tuple(u))]
+                    suffixes[key] = rest
+                for v, f, m in rest:
+                    letters[top:] = v
+                    yield letters, c + m + ((i - f) in (1, -1))
+            else:
+                k = d.index(1)
+                letters[top] = k
+                yield letters, c + ((i - k) in (1, -1))
         elif depth:
             depth -= 1
             i = letters[depth]
@@ -331,7 +359,8 @@ def enumerate_words(w: Sequence[int]) -> Iterator[Word]:
     words of w use only the letters lo..hi - 1 between the first and last
     positions lo, hi that w moves, so the count comes from the table of
     that window, standardized, of degree hi - lo + 1.  The words come from
-    one explicit-stack walk over w, with no recursion.
+    _walk_words: an explicit-stack walk over w that splices in the last
+    _SPLICE letters of each word from lists built one recursion level down.
 
     >>> list(enumerate_words((3, 2, 1)))
     [(1, 2, 1), (2, 1, 2)]

@@ -1,21 +1,31 @@
 import gc
 import hashlib
+import random
 import time
 import tracemalloc
 from fractions import Fraction
-from itertools import permutations as iter_permutations
+from itertools import islice, permutations as iter_permutations
 from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
-from longword.permutations import identity, is_vexillary, longest_element, shape_of
+from longword.permutations import (
+    apply_simple_left,
+    identity,
+    is_vexillary,
+    left_descents,
+    length,
+    longest_element,
+    shape_of,
+)
 from longword.tableaux import hook_length_count
 from longword.words import (
     DP_CAP,
     CountingSession,
     NotReducedError,
     ResourceCapError,
+    _SPLICE,
     _walk_words,
     count_words,
     enumerate_words,
@@ -85,10 +95,10 @@ def test_enumerate_words_over_whole_degree_four():
                 assert evaluate(n, word) == w
 
 
-def _walk_digest(perms) -> str:
+def _walk_digest(perms, limit=None) -> str:
     h = hashlib.sha256()
     for w in perms:
-        for letters, noncommuting in _walk_words(w):
+        for letters, noncommuting in islice(_walk_words(w), limit):
             h.update(bytes(letters))
             h.update(bytes([noncommuting, 255]))
     return h.hexdigest()
@@ -108,6 +118,46 @@ def test_walk_output_is_pinned():
         for w in iter_permutations(range(1, n + 1)):
             for letters, noncommuting in _walk_words(w):
                 assert noncommuting == word_stats(letters).noncommuting
+
+
+def test_long_walks_are_pinned():
+    # words of length 7 to 28, where the splice does most of its work; the
+    # digest was taken from the walk before it spliced
+    rng = random.Random(7)
+    perms = [tuple(rng.sample(range(1, n + 1), n)) for n in (7, 8) * 100]
+    assert (
+        _walk_digest(perms, 30_000)
+        == "68150e8f6f22205f2026d5c18a6681523b062c54b985d1582fa59257b813b3cd"
+    )
+
+
+def _reference_words(w):
+    """The words of w: (i,) + v over the left descents i, in increasing order,
+    and the words v of s_i w."""
+    if length(w) == 0:
+        yield ()
+    for i in sorted(left_descents(w)):
+        for v in _reference_words(apply_simple_left(i, w)):
+            yield (i,) + v
+
+
+def test_walk_matches_the_recursive_reference():
+    rng = random.Random(17)
+    perms = [tuple(rng.sample(range(1, n + 1), n)) for n in (7, 8) * 10]
+    # length _SPLICE is walked to its last letter; _SPLICE + 1 splices after
+    # one walked letter, and _SPLICE + 2 after a prefix with a pair of its own
+    for target in (_SPLICE, _SPLICE + 1, _SPLICE + 2):
+        found = []
+        while len(found) < 4:
+            w = tuple(rng.sample(range(1, 8), 7))
+            if length(w) == target:
+                found.append(w)
+        perms += found
+    for w in perms:
+        walked = [(tuple(letters), m) for letters, m in islice(_walk_words(w), 2_000)]
+        assert [v for v, _ in walked] == list(islice(_reference_words(w), 2_000))
+        for v, m in walked:
+            assert m == word_stats(v).noncommuting
 
 
 def test_enumerate_words_cap():
