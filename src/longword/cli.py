@@ -8,6 +8,7 @@ import sys
 
 from . import verify
 from .expectations import (
+    ASYMPTOTIC_CAP,
     ASYMPTOTIC_COEFFICIENT,
     ENUMERATE_CAP,
     EXACT_CLOSED_CAP,
@@ -18,11 +19,11 @@ from .expectations import (
     expected_noncommuting_float,
     proportions,
 )
-from .permutations import longest_element
+from .permutations import ResourceCapError, longest_element
 from .render import float_text, json_object, sample_json
 from .sampling import DEGREE_CAP, TRIALS_CAP, monte_carlo
 from .tableaux import hook_length_count, staircase
-from .words import DP_CAP, ResourceCapError, count_words
+from .words import DP_CAP, count_words
 
 TABLE_EXACT_CAP = 10
 
@@ -175,6 +176,10 @@ def cmd_table(args: argparse.Namespace) -> int:
 def cmd_asymptotics(args: argparse.Namespace) -> int:
     if args.n < 3:
         return _usage(f"--n must be at least 3, got {args.n}")
+    if args.n > ASYMPTOTIC_CAP:
+        return _usage(
+            f"--n is above {ASYMPTOTIC_CAP:.6g}, where the leading-order mean stops being finite"
+        )
     comm, nonc, braids = proportions(args.n)
     print(
         json_object(

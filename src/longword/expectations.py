@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .permutations import longest_element
-from .words import CountingSession, ResourceCapError, _walk_words
+from .permutations import ResourceCapError, longest_element
+from .words import CountingSession, _walk_words
 
 EXACT_CLOSED_CAP = 300
 EXACT_CAP = 10**4
@@ -34,6 +35,10 @@ FLOAT_CAP = 10**8
 # count from the n! word-count table first (1.5 s at n = 10).
 ENUMERATE_CAP = 6
 ASYMPTOTIC_COEFFICIENT = 128 / (9 * math.pi**2)
+# The largest float n whose leading-order mean ASYMPTOTIC_COEFFICIENT * n is
+# finite: the quotient max / coefficient itself rounds up to inf when
+# multiplied back, so the bound is the float just below it (about 1.2475e308).
+ASYMPTOTIC_CAP = int(math.nextafter(sys.float_info.max / ASYMPTOTIC_COEFFICIENT, 0))
 
 
 def double_factorial(m: int) -> int:
@@ -215,10 +220,19 @@ def expected_commutations_float(n: int) -> float:
     return ell - 1 - expected_noncommuting_float(n)
 
 
-def asymptotic_noncommuting(n: int) -> float:
-    """Leading-order noncommuting mean: 128/(9 pi^2) times n."""
+def _check_asymptotic_degree(n: int) -> None:
     if n < 3:
         raise ValueError(f"degree must be at least 3, got {n}")
+    if n > ASYMPTOTIC_CAP:
+        raise ValueError(
+            f"degree is above {ASYMPTOTIC_CAP:.6g}, "
+            "where the leading-order mean stops being finite"
+        )
+
+
+def asymptotic_noncommuting(n: int) -> float:
+    """Leading-order noncommuting mean: 128/(9 pi^2) times n, for 3 <= n <= ASYMPTOTIC_CAP."""
+    _check_asymptotic_degree(n)
     return ASYMPTOTIC_COEFFICIENT * n
 
 
@@ -226,10 +240,9 @@ def proportions(n: int) -> tuple[float, float, float]:
     """Leading-order per-length proportions of the three statistics.
 
     Returns (commutations, noncommuting, braids) as
-    (1, 256/(9 pi^2 n), 2/n^2).
+    (1, 256/(9 pi^2 n), 2/n^2), for 3 <= n <= ASYMPTOTIC_CAP.
     """
-    if n < 3:
-        raise ValueError(f"degree must be at least 3, got {n}")
+    _check_asymptotic_degree(n)
     return (1.0, 2 * ASYMPTOTIC_COEFFICIENT / n, 2 / n**2)
 
 

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .words import ResourceCapError, Word, word_stats
+from .permutations import ResourceCapError
+from .words import Word, word_stats
 
 # A draw costs about 75-130 ns * n^3 for n >= 10 (2 CPUs), so TRIALS_CAP
 # draws at n <= 10, scaled by (10 / n)^3 above, are about two minutes.

@@ -40,7 +40,7 @@ MAX_ENUMERATED_WORDS = 10_000_000
 # 0.09-0.13 s; 5 and 6 tied at n = 10 (1.3-1.6 s); slice adds all the way
 # down to single ranks took 1.0-1.4 s.  Five keeps the pair list at 240.
 _TAIL = 5
-# The word walk splices in its last _SPLICE letters from per-remainder lists.
+# The word walk splices in its last _SPLICE letters from memoized suffix lists.
 # Measured (2 CPUs, fresh processes, best of 3 walks): the walk of w0(6)
 # took 0.29-0.41, 0.20-0.33, 0.18-0.26 and 0.16-0.22 s for 3, 4, 5 and 6
 # letters (0.44-0.64 s letter by letter), and 2,000,000 words of
@@ -279,74 +279,71 @@ def prefix_probability(w: Sequence[int], prefix: Sequence[int]) -> Fraction:
     return CountingSession(len(tuple(w))).prefix_probability(w, prefix)
 
 
+def _suffixes(d: list[int], memo: dict) -> list[tuple[Word, int, int]]:
+    """The reduced words of the permutation whose inversion code is d.
+
+    Each comes as (word, first letter, noncommuting count), in
+    lexicographic order: the first letter i runs over the left descents
+    of d, each followed by the words of s_i w.  The empty word's first
+    letter is -1, which pairs with no letter.  memo keeps the list of
+    every code met, keyed by the code.
+    """
+    key = tuple(d)
+    words = memo.get(key)
+    if words is None:
+        words = []
+        for i in range(1, len(d) - 1):
+            if d[i] > d[i + 1]:
+                d[i], d[i + 1] = d[i + 1], d[i] - 1
+                words += [((i, *v), i, m + ((i - f) in (1, -1))) for v, f, m in _suffixes(d, memo)]
+                d[i], d[i + 1] = d[i + 1] + 1, d[i]
+        memo[key] = words = words or [((), -1, 0)]
+    return words
+
+
 def _walk_words(t: Permutation) -> Iterator[tuple[list[int], int]]:
     """Walk the reduced words of the permutation t, in lexicographic order.
 
     Yields (letters, noncommuting) once per word: letters is one buffer
     that is overwritten in place after the yield, and noncommuting counts
-    its adjacent pairs with |a - b| = 1, as word_stats does.  The walk
-    goes down the tree of left-descent prefixes with an explicit stack:
-    depth k holds letters[k] and the pair count of letters[:k], and
-    undoing letters[k] resumes the scan at depth k from letters[k] + 1.
-    A word of more than _SPLICE letters is walked letter by letter only
-    until _SPLICE letters remain.  The permutation left there has its
-    words, with their first letters and pair counts, listed once per call
-    and keyed by its inversion code, by a walk of its own that is too
-    short to splice, so the recursion is one level deep.  Each word of t
-    is a walked prefix plus one listed suffix, in lexicographic order, and
-    its pair count is the prefix's plus the suffix's plus the junction
-    pair.  A shorter word is walked down to its last letter: the
-    permutation left is s_k, whose inversion code is a single 1 at k, so
-    the leaf is found without trying the letters one by one.
+    its adjacent pairs with |a - b| = 1, as word_stats does.  Every word
+    is a walked prefix of the first top = max(length - _SPLICE, 0) letters
+    plus a suffix from _suffixes, memoized per call on the inversion code
+    left after the prefix.  The walk goes down the tree of left-descent
+    prefixes with an explicit stack: depth k holds letters[k], the letter
+    before it (-1 at depth 0) and the pair count of letters[:k]; undoing
+    letters[k] resumes the scan at depth k from letters[k] + 1.  At depth
+    top it splices in each suffix, whose pair count adds to the prefix's,
+    plus one when the junction letters differ by 1.
     """
     n = len(t)
     d = _inversion_code(t)
-    length = sum(d)
-    letters = [0] * length
-    if length < 2:
-        if length:
-            letters[0] = d.index(1)
-        yield letters, 0
-        return
-    splice = length > _SPLICE
-    top = length - (_SPLICE if splice else 1)  # letters[top:] are set at a leaf
-    suffixes: dict[tuple[int, ...], list[tuple[Word, int, int]]] = {}
-    pairs = [0] * top
+    letters = [0] * sum(d)
+    top = max(len(letters) - _SPLICE, 0)
+    memo: dict[tuple[int, ...], list[tuple[Word, int, int]]] = {}
+    last = [-1] * (top + 1)  # last[k] = letters[k - 1], and -1 at depth 0
+    pairs = [0] * (top + 1)  # pairs[k] counts the pairs of letters[:k]
     depth, i = 0, 1
     while True:
-        while i < n and d[i] <= d[i + 1]:
-            i += 1
-        if i < n:
-            d[i], d[i + 1] = d[i + 1], d[i] - 1
-            letters[depth] = i
-            c = pairs[depth]
-            if depth and (letters[depth - 1] - i) in (1, -1):
-                c += 1
-            if depth + 1 < top:
-                depth += 1
-                pairs[depth] = c
-                i = 1
-                continue
-            if splice:
-                rest = suffixes.get(key := tuple(d))
-                if rest is None:
-                    u: list[int] = []  # the permutation whose inversion code is d
-                    for a in range(n, 0, -1):
-                        u.insert(d[a], a)
-                    rest = [(tuple(v), v[0], m) for v, m in _walk_words(tuple(u))]
-                    suffixes[key] = rest
-                for v, f, m in rest:
-                    letters[top:] = v
-                    yield letters, c + m + ((i - f) in (1, -1))
-            else:
-                k = d.index(1)
-                letters[top] = k
-                yield letters, c + ((i - k) in (1, -1))
-        elif depth:
-            depth -= 1
-            i = letters[depth]
+        if depth == top:
+            a, c = last[top], pairs[top]
+            for v, f, m in _suffixes(d, memo):
+                letters[top:] = v
+                yield letters, c + m + ((a - f) in (1, -1))
         else:
+            while i < n and d[i] <= d[i + 1]:
+                i += 1
+            if i < n:
+                d[i], d[i + 1] = d[i + 1], d[i] - 1
+                letters[depth] = i
+                pairs[depth + 1] = pairs[depth] + ((last[depth] - i) in (1, -1))
+                depth += 1
+                last[depth], i = i, 1
+                continue
+        if not depth:
             return
+        depth -= 1
+        i = letters[depth]
         d[i], d[i + 1] = d[i + 1] + 1, d[i]
         i += 1
 
@@ -359,8 +356,8 @@ def enumerate_words(w: Sequence[int]) -> Iterator[Word]:
     words of w use only the letters lo..hi - 1 between the first and last
     positions lo, hi that w moves, so the count comes from the table of
     that window, standardized, of degree hi - lo + 1.  The words come from
-    _walk_words: an explicit-stack walk over w that splices in the last
-    _SPLICE letters of each word from lists built one recursion level down.
+    _walk_words: an explicit-stack walk of all but the last _SPLICE letters
+    of each word, which splices those in from memoized suffix lists.
 
     >>> list(enumerate_words((3, 2, 1)))
     [(1, 2, 1), (2, 1, 2)]

@@ -305,6 +305,44 @@ def test_asymptotics_output(capsys):
     assert record["proportion_braids"] == 2 / 800**2
     assert record["proportion_commutations"] == 1.0
     assert run_cli(capsys, "asymptotics", "--n", "2")[0] == 2
+    code, out, err = run_cli(capsys, "asymptotics", "--n", str(10**400))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --n is above 1.24752e+308")
+
+
+_CHEAP = {
+    "count": ["--n", "2"],
+    "expect": ["--n", "2"],
+    "sample": ["--n", "2", "--trials", "1"],
+    "table": ["--from", "3", "--to", "3"],
+    "asymptotics": ["--n", "3"],
+    "verify": ["--max-n", "3"],
+}
+_INTEGER_OPTIONS = [
+    ("count", "--n"),
+    ("expect", "--n"),
+    ("sample", "--n"),
+    ("sample", "--trials"),
+    ("sample", "--seed"),
+    ("sample", "--jobs"),
+    ("table", "--from"),
+    ("table", "--to"),
+    ("asymptotics", "--n"),
+    ("verify", "--max-n"),
+]
+
+
+@pytest.mark.parametrize("value", [-1, 0, 2**64, 10**400], ids=["-1", "0", "2**64", "10**400"])
+@pytest.mark.parametrize("command,option", _INTEGER_OPTIONS)
+def test_extreme_integers_end_in_an_exit_code(capsys, command, option, value):
+    argv = [command, *_CHEAP[command]]
+    if option in argv:
+        argv[argv.index(option) + 1] = str(value)
+    else:
+        argv += [option, str(value)]
+    code, _, err = run_cli(capsys, *argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
 
 
 def test_verify_passes(capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 import longword.expectations
 from longword.expectations import (
+    ASYMPTOTIC_CAP,
     ASYMPTOTIC_COEFFICIENT,
     ENUMERATE_CAP,
     EXACT_CAP,
@@ -236,6 +237,18 @@ def test_proportions():
     assert braids == 2 / 800**2
     with pytest.raises(ValueError):
         proportions(2)
+
+
+def test_asymptotic_cap_is_where_the_floats_stop_being_finite():
+    assert math.isfinite(asymptotic_noncommuting(ASYMPTOTIC_CAP))
+    assert all(map(math.isfinite, proportions(ASYMPTOTIC_CAP)))
+    # the next float up overflows, so no larger bound keeps the mean finite
+    assert math.isinf(ASYMPTOTIC_COEFFICIENT * math.nextafter(ASYMPTOTIC_CAP, math.inf))
+    for n in (ASYMPTOTIC_CAP + 1, 10**400):
+        with pytest.raises(ValueError):
+            asymptotic_noncommuting(n)
+        with pytest.raises(ValueError):
+            proportions(n)
 
 
 def test_expectation_report_methods_agree():

@@ -114,7 +114,7 @@ def test_walk_output_is_pinned():
         _walk_digest([longest_element(6)])
         == "6be9012994e8146e7a74573378e545cdfec23cd63301c05b2212d3f385816844"
     )
-    for n in range(1, 6):  # the identity and the s_i take the short-word preamble
+    for n in range(1, 6):  # words of 0 to 10 letters, the shortest one suffix each
         for w in iter_permutations(range(1, n + 1)):
             for letters, noncommuting in _walk_words(w):
                 assert noncommuting == word_stats(letters).noncommuting
@@ -144,8 +144,8 @@ def _reference_words(w):
 def test_walk_matches_the_recursive_reference():
     rng = random.Random(17)
     perms = [tuple(rng.sample(range(1, n + 1), n)) for n in (7, 8) * 10]
-    # length _SPLICE is walked to its last letter; _SPLICE + 1 splices after
-    # one walked letter, and _SPLICE + 2 after a prefix with a pair of its own
+    # length _SPLICE is one suffix with no walked prefix; _SPLICE + 1 splices
+    # after one walked letter, and _SPLICE + 2 after a prefix with a pair of its own
     for target in (_SPLICE, _SPLICE + 1, _SPLICE + 2):
         found = []
         while len(found) < 4:
@@ -153,6 +153,8 @@ def test_walk_matches_the_recursive_reference():
             if length(w) == target:
                 found.append(w)
         perms += found
+    # every permutation of degree <= 5: lengths 0 to 10, both sides of _SPLICE
+    perms += [w for n in range(1, 6) for w in iter_permutations(range(1, n + 1))]
     for w in perms:
         walked = [(tuple(letters), m) for letters, m in islice(_walk_words(w), 2_000)]
         assert [v for v, _ in walked] == list(islice(_reference_words(w), 2_000))
