@@ -39,7 +39,8 @@ _CAPS_NOTE = (
     f"sample requires n <= {DEGREE_CAP} and --trials <= {TRIALS_CAP} at n <= 10, scaled "
     f"by (10/n)^3 beyond, exact closed-form rationals stop at n <= {EXACT_CLOSED_CAP} "
     f"(floating path beyond, up to n <= {FLOAT_CAP}; a table's floating rows may sum "
-    f"to that many degrees), table rows carry exact columns only for n <= {TABLE_EXACT_CAP}"
+    f"to that many degrees), asymptotics requires n <= {ASYMPTOTIC_CAP:.6g}, table rows "
+    f"carry exact columns only for n <= {TABLE_EXACT_CAP}"
 )
 
 

@@ -16,7 +16,7 @@ from . import expectations as ex
 from .permutations import is_vexillary, longest_element, shape_of, two_step_lowering
 from .sampling import monte_carlo, sample_word, trial_generator
 from .tableaux import delete_corners, hook_length_count, staircase
-from .words import CountingSession, enumerate_words, evaluate, rotate, word_stats
+from .words import CountingSession, _walk_words, enumerate_words, evaluate, word_stats
 
 # 99.9% point of the chi-square distribution with 15 degrees of freedom
 CHI2_15_Q999 = 37.69729821835383
@@ -48,23 +48,33 @@ def _within(label: str, off: float, bound: float, spec: str) -> tuple[str, bool,
 
 
 def _enumeration_pass(n: int):
-    """One walk over w0's words: the braid mean, the word count, the first bad word."""
+    """One walk over w0's words: the braid mean, the word count, the first bad word.
+
+    Each word faces two legs.  Its commutations, counted by word_stats,
+    and the noncommuting pairs that the walk counts on its own add up to
+    ell - 1.  Its rotation i_2 ... i_ell (n - i_1) evaluates to w0: as
+    w0 s_i w0 = s_{n-i}, the rotation's product is s_{i_1} P w0 s_{i_1} w0,
+    where P = s_{i_1} ... s_{i_ell} is the word's own, so it is w0 exactly
+    when P is, and a word of ell letters with product w0 is reduced.  So
+    one evaluation, of the rotation, checks both words and names any
+    non-word the walk yields; a first letter outside [1, n - 1] stays
+    outside as n - i_1, and evaluate refuses it.
+    """
     w0 = longest_element(n)
     ell = n * (n - 1) // 2
     words = braids = 0
     bad = None
-    for word in enumerate_words(w0):
-        stats = word_stats(word)
+    for letters, noncommuting in _walk_words(w0):
+        stats = word_stats(letters)
         words += 1
         braids += stats.braids
         if bad is None:
             try:
-                rotated = rotate(n, word)
-                rotates = rotated[-1] == n - word[0] and evaluate(n, rotated) == w0
-            except ValueError:  # rotate or evaluate refuses a non-word of w0
+                rotates = evaluate(n, [*letters[1:], n - letters[0]]) == w0
+            except ValueError:  # evaluate refuses a non-word of w0
                 rotates = False
-            if not (rotates and stats.commutations + stats.noncommuting == ell - 1):
-                bad = word
+            if not (rotates and stats.commutations + noncommuting == ell - 1):
+                bad = tuple(letters)
     return Fraction(braids, words), words, bad
 
 

@@ -355,9 +355,11 @@ def enumerate_words(w: Sequence[int]) -> Iterator[Word]:
     MAX_ENUMERATED_WORDS, when called and before yielding anything.  The
     words of w use only the letters lo..hi - 1 between the first and last
     positions lo, hi that w moves, so the count comes from the table of
-    that window, standardized, of degree hi - lo + 1.  The words come from
-    _walk_words: an explicit-stack walk of all but the last _SPLICE letters
-    of each word, which splices those in from memoized suffix lists.
+    that window, standardized, of degree hi - lo + 1, and the words from
+    _walk_words on that window, each letter raised by lo: the walk costs
+    the same wherever the window sits.  _walk_words is an explicit-stack
+    walk of all but the last _SPLICE letters of each word, which splices
+    those in from memoized suffix lists.
 
     >>> list(enumerate_words((3, 2, 1)))
     [(1, 2, 1), (2, 1, 2)]
@@ -373,7 +375,10 @@ def enumerate_words(w: Sequence[int]) -> Iterator[Word]:
         raise ResourceCapError(
             f"{t!r} has {total} reduced words, above the cap of {MAX_ENUMERATED_WORDS}"
         )
-    return (tuple(letters) for letters, _ in _walk_words(t))
+    walk = _walk_words(window)
+    if lo:
+        return (tuple(i + lo for i in letters) for letters, _ in walk)
+    return (tuple(letters) for letters, _ in walk)
 
 
 def rotate(n: int, letters: Sequence[int]) -> Word:
@@ -381,7 +386,8 @@ def rotate(n: int, letters: Sequence[int]) -> Word:
 
     Moves the first letter i to the end as n - i; the result is again a
     reduced word of the longest element.  Raises ValueError when the
-    input does not evaluate to the longest element of degree n.
+    input does not evaluate to the longest element of degree n, first of
+    all when it does not have n(n - 1)/2 letters.
 
     >>> rotate(3, (1, 2, 1))
     (2, 1, 2)
@@ -389,7 +395,7 @@ def rotate(n: int, letters: Sequence[int]) -> Word:
     (2, 1, 3, 2, 1, 3)
     """
     word = tuple(letters)
-    if evaluate(n, word) != longest_element(n):
+    if len(word) != n * (n - 1) // 2 or evaluate(n, word) != longest_element(n):
         raise ValueError(
             f"{word!r} is not a reduced word of the longest element of degree {n}"
         )

@@ -269,7 +269,8 @@ def test_caps_note_is_pinned():
         "scaled by (10/n)^3 beyond, "
         "exact closed-form rationals stop at n <= 300 (floating path beyond, "
         "up to n <= 100000000; a table's floating rows may sum to that many "
-        "degrees), table rows carry exact columns only for n <= 10"
+        "degrees), asymptotics requires n <= 1.24752e+308, "
+        "table rows carry exact columns only for n <= 10"
     )
 
 
@@ -390,12 +391,12 @@ def test_verify_detects_tampered_pair_products(capsys, monkeypatch):
             "word counts match tableau counts (n 3..9)",
         ),
         (
-            "rotate",
+            "evaluate",
             lambda n, letters: tuple(letters),
             "per-word complement and rotation (n 3..6)",
         ),
     ],
-    ids=["hook_length_count", "rotate"],
+    ids=["hook_length_count", "evaluate"],
 )
 def test_verify_names_first_bad_degree(capsys, monkeypatch, route, tampered, check):
     """Seeded-bug drill: a tampered route fails its check at the first degree."""
@@ -407,17 +408,17 @@ def test_verify_names_first_bad_degree(capsys, monkeypatch, route, tampered, che
 
 
 def test_verify_names_an_enumerated_non_word(capsys, monkeypatch):
-    """Seeded-bug drill: an enumeration that yields a non-word fails, naming it."""
-    true_enumerate = longword.verify.enumerate_words
+    """Seeded-bug drill: a word walk that yields a non-word fails, naming it."""
+    true_walk = longword.verify._walk_words
 
     def corrupted(w):
-        words = true_enumerate(w)
+        walk = true_walk(w)
         if len(w) == 4:
-            first = next(words)
-            yield (first[0],) + first[:-1]
-        yield from words
+            first, noncommuting = next(walk)
+            yield [first[0], *first[:-1]], noncommuting
+        yield from walk
 
-    monkeypatch.setattr(longword.verify, "enumerate_words", corrupted)
+    monkeypatch.setattr(longword.verify, "_walk_words", corrupted)
     code, out, _ = run_cli(capsys, "verify", "--max-n", "4")
     lines = out.splitlines()
     assert code == 1 and len(lines) == 9
@@ -458,6 +459,19 @@ def test_verify_reads_the_library_enumeration_mean(
     check = "commutation mean by enumeration (n 3..6)"
     line = next(line for line in out.splitlines() if f"  {check}: " in line)
     assert line.startswith(f"FAIL  {check}: n={first_bad}: ")
+
+
+def test_verify_reads_the_walk_pair_count(capsys, monkeypatch):
+    """Seeded-bug drill: the complement leg reads the walk's own pair count."""
+    true_walk = longword.verify._walk_words
+    monkeypatch.setattr(
+        longword.verify, "_walk_words", lambda t: _miscount_first_word(true_walk(t))
+    )
+    code, out, _ = run_cli(capsys, "verify", "--max-n", "3")
+    assert code == 1
+    check = "per-word complement and rotation (n 3..6)"
+    line = next(line for line in out.splitlines() if f"  {check}: " in line)
+    assert line.startswith(f"FAIL  {check}: n=3: ")
 
 
 def test_verify_names_a_sampled_non_word(capsys, monkeypatch):

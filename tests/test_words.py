@@ -4,7 +4,7 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
-from itertools import islice, permutations as iter_permutations
+from itertools import islice, permutations as iter_permutations, zip_longest
 from math import factorial
 
 import pytest
@@ -218,6 +218,13 @@ def test_enumerate_words_counts_on_the_moved_window():
         tuple(i + 2 for i in word) for word in enumerate_words(window)
     ]
     assert list(enumerate_words(identity(DP_CAP + 1))) == [()]
+    # w0(6) at the far end of degree 10^4: the walk sees the window only
+    lo = 10**4 - 6
+    w = tuple(range(1, lo + 1)) + tuple(range(10**4, lo, -1))
+    started = time.perf_counter()
+    shifted = (tuple(i + lo for i in word) for word in enumerate_words(longest_element(6)))
+    assert all(a == b for a, b in zip_longest(enumerate_words(w), shifted))
+    assert time.perf_counter() - started < 5
 
 
 def test_deep_permutation_is_refused_up_front():
@@ -352,6 +359,11 @@ def test_rotate_rejects_other_permutations():
         rotate(4, (1, 2, 1))
     with pytest.raises(NotReducedError):
         rotate(3, (1, 1, 2))
+    # a word of the wrong length is refused before anything of degree n is built
+    started = time.perf_counter()
+    with pytest.raises(ValueError):
+        rotate(10**12, (1,))
+    assert time.perf_counter() - started < 1
 
 
 def test_rotate_is_a_bijection_on_words(words_of_longest):
