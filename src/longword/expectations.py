@@ -23,16 +23,19 @@ from fractions import Fraction
 from math import factorial
 
 from .permutations import ResourceCapError, longest_element
-from .words import CountingSession, _walk_words
+from .walk import _walk_totals
+from .words import CountingSession
 
 EXACT_CLOSED_CAP = 300
 EXACT_CAP = 10**4
 REFERENCE_CAP = 2000
 FLOAT_CAP = 10**8
-# The enumeration mean walks every word of w0: 292,864 of them at n = 6
-# and 1,100,742,656 at n = 7, above words.MAX_ENUMERATED_WORDS.  A cap on
-# the degree refuses before any work, where enumerate_words learns its
-# count from the n! word-count table first (1.5 s at n = 10).
+# The enumeration mean folds one block of the word walk per reduced prefix
+# of all but the last six letters of w0: 19,402 blocks (292,864 words) at
+# n = 6 took 0.04-0.05 s, and the 54,412,488 blocks (1,100,742,656 words)
+# at n = 7 would take about 110 s at the 2 us a block that the walk took
+# over the first 10^6 of them (2 CPUs).  A cap on the degree refuses
+# before any work.
 ENUMERATE_CAP = 6
 ASYMPTOTIC_COEFFICIENT = 128 / (9 * math.pi**2)
 # The largest float n whose leading-order mean ASYMPTOTIC_COEFFICIENT * n is
@@ -277,10 +280,11 @@ def expectation_report(n: int, method: str = "closed_form") -> ExpectationReport
     closed_form runs the integer walk (floating path beyond the exact
     cap of 300); dp fills its own whole-group word-count table and reads
     the starting-pair probabilities off it; enumeration averages the
-    noncommuting pairs over every word, counted as the word walk goes,
-    with no word-count table.  Enumeration refuses n > ENUMERATE_CAP and
-    dp n > DP_CAP, with ResourceCapError, before any work.  All methods
-    agree exactly wherever more than one applies.
+    noncommuting pairs over every word, folded a block of the word walk
+    at a time (a prefix and its list of suffixes, never expanded into
+    words), with no word-count table.  Enumeration refuses
+    n > ENUMERATE_CAP and dp n > DP_CAP, with ResourceCapError, before
+    any work.  All methods agree exactly wherever more than one applies.
     """
     if n < 2:
         raise ValueError(f"degree must be at least 2, got {n}")
@@ -299,10 +303,7 @@ def expectation_report(n: int, method: str = "closed_form") -> ExpectationReport
             raise ResourceCapError(
                 f"enumerating the words of degree {n} is above the cap of {ENUMERATE_CAP}"
             )
-        total = words = 0
-        for _, noncommuting in _walk_words(longest_element(n)):
-            total += noncommuting
-            words += 1
+        words, total = _walk_totals(longest_element(n))
         e_nonc = Fraction(total, words)
     else:
         raise ValueError(f"unknown method {method!r}")

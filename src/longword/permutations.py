@@ -20,8 +20,13 @@ class ResourceCapError(RuntimeError):
 
 
 def is_permutation(seq: Iterable[int]) -> bool:
-    """True when seq is a rearrangement of 1..n for n = len(seq)."""
+    """True when seq is a rearrangement of 1..n for n = len(seq).
+
+    Every entry must be of type int: a float, a string or a bool is not one.
+    """
     values = list(seq)
+    if not all(type(v) is int for v in values):
+        return False
     return sorted(values) == list(range(1, len(values) + 1))
 
 
@@ -83,8 +88,8 @@ def apply_simple_left(i: int, w: Permutation) -> Permutation:
     (4, 2, 1, 3)
     """
     n = len(w)
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"simple index must lie in [1, {n - 1}], got {i}")
+    if type(i) is not int or not 1 <= i <= n - 1:
+        raise ValueError(f"simple index must be an int in [1, {n - 1}], got {i!r}")
     swap = {i: i + 1, i + 1: i}
     return tuple(swap.get(v, v) for v in w)
 
@@ -172,7 +177,11 @@ def two_step_lowering(n: int, j: int) -> Permutation:
 
 
 def check_permutation(w: Sequence[int]) -> Permutation:
-    """Return w as a tuple, raising ValueError when it is not a permutation."""
+    """Return w as a tuple, raising ValueError when it is not a permutation.
+
+    The entries must be of type int, so (1.0, 2.0), (1, 'a') and (True,)
+    are refused.
+    """
     t = tuple(w)
     if not is_permutation(t):
         raise ValueError(f"not a permutation of 1..{len(t)}: {t!r}")

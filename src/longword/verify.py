@@ -16,7 +16,8 @@ from . import expectations as ex
 from .permutations import is_vexillary, longest_element, shape_of, two_step_lowering
 from .sampling import monte_carlo, sample_word, trial_generator
 from .tableaux import delete_corners, hook_length_count, staircase
-from .words import CountingSession, _walk_words, enumerate_words, evaluate, word_stats
+from .walk import _walk_words
+from .words import CountingSession, enumerate_words, evaluate, word_stats
 
 # 99.9% point of the chi-square distribution with 15 degrees of freedom
 CHI2_15_Q999 = 37.69729821835383

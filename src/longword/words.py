@@ -26,13 +26,15 @@ from .permutations import (
     check_permutation,
     longest_element,
 )
+from .walk import _walk_blocks
 
 Word = tuple[int, ...]
 
 # The table holds n! entries; 10! fill in about 1.5 s and 194 MiB (2 CPUs).
 DP_CAP = 10
 # Admits 4,993 of the 5,040 permutations of degree 7.  Iterating the largest,
-# (6, 7, 3, 5, 4, 2, 1) at 9,189,180 words, took 6.0-6.7 s (0.7 us a word, 19.5 MiB peak).
+# (6, 7, 3, 5, 4, 2, 1) at 9,189,180 words, took 3.7-4.6 s (about 0.45 us a
+# word, 19.9 MiB peak; 2 CPUs).
 MAX_ENUMERATED_WORDS = 10_000_000
 # The fill runs the pair kernel on blocks of _TAIL! ranks that share all
 # but the last _TAIL code digits.  Measured at n = 9 (2 CPUs, best of 3):
@@ -40,13 +42,6 @@ MAX_ENUMERATED_WORDS = 10_000_000
 # 0.09-0.13 s; 5 and 6 tied at n = 10 (1.3-1.6 s); slice adds all the way
 # down to single ranks took 1.0-1.4 s.  Five keeps the pair list at 240.
 _TAIL = 5
-# The word walk splices in its last _SPLICE letters from memoized suffix lists.
-# Measured (2 CPUs, fresh processes, best of 3 walks): the walk of w0(6)
-# took 0.29-0.41, 0.20-0.33, 0.18-0.26 and 0.16-0.22 s for 3, 4, 5 and 6
-# letters (0.44-0.64 s letter by letter), and 2,000,000 words of
-# (6, 7, 3, 5, 4, 2, 1) through enumerate_words 1.8-2.9, 1.5-2.1, 1.2-1.6
-# and 1.0-1.3 s (3.8-4.7 s).  Six won 2 of 3 paired runs against five.
-_SPLICE = 6
 
 
 class NotReducedError(ValueError):
@@ -67,8 +62,9 @@ class NotReducedError(ValueError):
 def evaluate(n: int, letters: Sequence[int]) -> Permutation:
     """Permutation reached by applying the letters to the identity.
 
-    Raises ValueError for letters outside [1, n-1] and NotReducedError
-    when some step fails to increase the inversion count.
+    Raises ValueError for a letter that is not an int in [1, n-1] (a
+    float or a bool is refused) and NotReducedError when some step fails
+    to increase the inversion count.
 
     >>> evaluate(3, (1, 2, 1))
     (3, 2, 1)
@@ -79,9 +75,9 @@ def evaluate(n: int, letters: Sequence[int]) -> Permutation:
         raise ValueError(f"degree must be at least 1, got {n}")
     w = list(range(1, n + 1))
     for k, i in enumerate(letters, start=1):
-        if not 1 <= i <= n - 1:
+        if type(i) is not int or not 1 <= i <= n - 1:
             raise ValueError(
-                f"letter {i} at position {k} is outside [1, {n - 1}]"
+                f"letter {i!r} at position {k} is not an int in [1, {n - 1}]"
             )
         if w[i - 1] > w[i]:
             raise NotReducedError(k, i)
@@ -252,8 +248,8 @@ class CountingSession:
         """
         n = self.n
         for p in prefix:
-            if not 1 <= p <= n - 1:
-                raise ValueError(f"letter {p} is outside [1, {n - 1}]")
+            if type(p) is not int or not 1 <= p <= n - 1:
+                raise ValueError(f"letter {p!r} is not an int in [1, {n - 1}]")
         d = self._code(w)
         denom = self._table[_rank(d)]
         for p in prefix:
@@ -279,75 +275,6 @@ def prefix_probability(w: Sequence[int], prefix: Sequence[int]) -> Fraction:
     return CountingSession(len(tuple(w))).prefix_probability(w, prefix)
 
 
-def _suffixes(d: list[int], memo: dict) -> list[tuple[Word, int, int]]:
-    """The reduced words of the permutation whose inversion code is d.
-
-    Each comes as (word, first letter, noncommuting count), in
-    lexicographic order: the first letter i runs over the left descents
-    of d, each followed by the words of s_i w.  The empty word's first
-    letter is -1, which pairs with no letter.  memo keeps the list of
-    every code met, keyed by the code.
-    """
-    key = tuple(d)
-    words = memo.get(key)
-    if words is None:
-        words = []
-        for i in range(1, len(d) - 1):
-            if d[i] > d[i + 1]:
-                d[i], d[i + 1] = d[i + 1], d[i] - 1
-                words += [((i, *v), i, m + ((i - f) in (1, -1))) for v, f, m in _suffixes(d, memo)]
-                d[i], d[i + 1] = d[i + 1] + 1, d[i]
-        memo[key] = words = words or [((), -1, 0)]
-    return words
-
-
-def _walk_words(t: Permutation) -> Iterator[tuple[list[int], int]]:
-    """Walk the reduced words of the permutation t, in lexicographic order.
-
-    Yields (letters, noncommuting) once per word: letters is one buffer
-    that is overwritten in place after the yield, and noncommuting counts
-    its adjacent pairs with |a - b| = 1, as word_stats does.  Every word
-    is a walked prefix of the first top = max(length - _SPLICE, 0) letters
-    plus a suffix from _suffixes, memoized per call on the inversion code
-    left after the prefix.  The walk goes down the tree of left-descent
-    prefixes with an explicit stack: depth k holds letters[k], the letter
-    before it (-1 at depth 0) and the pair count of letters[:k]; undoing
-    letters[k] resumes the scan at depth k from letters[k] + 1.  At depth
-    top it splices in each suffix, whose pair count adds to the prefix's,
-    plus one when the junction letters differ by 1.
-    """
-    n = len(t)
-    d = _inversion_code(t)
-    letters = [0] * sum(d)
-    top = max(len(letters) - _SPLICE, 0)
-    memo: dict[tuple[int, ...], list[tuple[Word, int, int]]] = {}
-    last = [-1] * (top + 1)  # last[k] = letters[k - 1], and -1 at depth 0
-    pairs = [0] * (top + 1)  # pairs[k] counts the pairs of letters[:k]
-    depth, i = 0, 1
-    while True:
-        if depth == top:
-            a, c = last[top], pairs[top]
-            for v, f, m in _suffixes(d, memo):
-                letters[top:] = v
-                yield letters, c + m + ((a - f) in (1, -1))
-        else:
-            while i < n and d[i] <= d[i + 1]:
-                i += 1
-            if i < n:
-                d[i], d[i + 1] = d[i + 1], d[i] - 1
-                letters[depth] = i
-                pairs[depth + 1] = pairs[depth] + ((last[depth] - i) in (1, -1))
-                depth += 1
-                last[depth], i = i, 1
-                continue
-        if not depth:
-            return
-        depth -= 1
-        i = letters[depth]
-        d[i], d[i + 1] = d[i + 1] + 1, d[i]
-        i += 1
-
-
 def enumerate_words(w: Sequence[int]) -> Iterator[Word]:
     """All reduced words of w in lexicographic order, each exactly once.
 
@@ -356,10 +283,10 @@ def enumerate_words(w: Sequence[int]) -> Iterator[Word]:
     words of w use only the letters lo..hi - 1 between the first and last
     positions lo, hi that w moves, so the count comes from the table of
     that window, standardized, of degree hi - lo + 1, and the words from
-    _walk_words on that window, each letter raised by lo: the walk costs
-    the same wherever the window sits.  _walk_words is an explicit-stack
-    walk of all but the last _SPLICE letters of each word, which splices
-    those in from memoized suffix lists.
+    _walk_blocks on that window: the walk costs the same wherever the
+    window sits.  Each word is the block's prefix tuple plus one of its
+    suffix tuples, every letter raised by lo; the suffixes of a list are
+    raised once, when the list is first met, not once per word.
 
     >>> list(enumerate_words((3, 2, 1)))
     [(1, 2, 1), (2, 1, 2)]
@@ -375,10 +302,20 @@ def enumerate_words(w: Sequence[int]) -> Iterator[Word]:
         raise ResourceCapError(
             f"{t!r} has {total} reduced words, above the cap of {MAX_ENUMERATED_WORDS}"
         )
-    walk = _walk_words(window)
-    if lo:
-        return (tuple(i + lo for i in letters) for letters, _ in walk)
-    return (tuple(letters) for letters, _ in walk)
+
+    def words() -> Iterator[Word]:
+        tails: dict[int, tuple[list, list[Word]]] = {}  # id -> (list, shifted words)
+        for letters, _, _, suffixes in _walk_blocks(window):
+            entry = tails.get(id(suffixes))
+            if entry is None:
+                entry = tails[id(suffixes)] = (
+                    suffixes,
+                    [tuple(i + lo for i in v) for v, _, _ in suffixes],
+                )
+            head = tuple(i + lo for i in letters[: len(letters) - len(suffixes[0][0])])
+            yield from map(head.__add__, entry[1])
+
+    return words()
 
 
 def rotate(n: int, letters: Sequence[int]) -> Word:

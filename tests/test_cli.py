@@ -13,6 +13,7 @@ import pytest
 import longword.cli
 import longword.expectations
 import longword.verify
+import longword.walk
 from longword.cli import _CAPS_NOTE, CSV_HEADER, main
 from longword.expectations import (
     ASYMPTOTIC_COEFFICIENT,
@@ -426,34 +427,39 @@ def test_verify_names_an_enumerated_non_word(capsys, monkeypatch):
     assert next(x for x in lines if x.startswith(check)).endswith("(1, 1, 2, 1, 3, 2)")
 
 
-def _drop_first_word(walk):
-    next(walk)
-    yield from walk
-
-
 def _miscount_first_word(walk):
     letters, noncommuting = next(walk)
     yield letters, noncommuting + 1
     yield from walk
 
 
+def _drop_first_suffix(blocks):
+    letters, last, pairs, suffixes = next(blocks)
+    yield letters, last, pairs, suffixes[1:]
+    yield from blocks
+
+
+def _miscount_first_block(blocks):
+    letters, last, pairs, suffixes = next(blocks)
+    yield letters, last, pairs + 1, suffixes
+    yield from blocks
+
+
 @pytest.mark.parametrize(
     "tamper, first_bad",
-    [(_drop_first_word, 4), (_miscount_first_word, 3)],
+    [(_drop_first_suffix, 4), (_miscount_first_block, 3)],
     ids=["drop", "miscount"],
 )
 def test_verify_reads_the_library_enumeration_mean(
     capsys, monkeypatch, tamper, first_bad
 ):
-    """Seeded-bug drill: a tampered word walk fails the enumeration mean.
+    """Seeded-bug drill: a tampered block walk fails the enumeration mean.
 
     Every word of degree 3 has two noncommuting pairs, so a dropped word
     first shows at degree 4.
     """
-    true_walk = longword.expectations._walk_words
-    monkeypatch.setattr(
-        longword.expectations, "_walk_words", lambda t: tamper(true_walk(t))
-    )
+    true_walk = longword.walk._walk_blocks
+    monkeypatch.setattr(longword.walk, "_walk_blocks", lambda t: tamper(true_walk(t)))
     code, out, _ = run_cli(capsys, "verify", "--max-n", "4")
     assert code == 1
     check = "commutation mean by enumeration (n 3..6)"

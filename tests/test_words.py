@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 
 from longword.permutations import (
     apply_simple_left,
+    check_permutation,
     identity,
     is_vexillary,
     left_descents,
@@ -20,13 +21,12 @@ from longword.permutations import (
     shape_of,
 )
 from longword.tableaux import hook_length_count
+from longword.walk import _SPLICE, _walk_totals, _walk_words
 from longword.words import (
     DP_CAP,
     CountingSession,
     NotReducedError,
     ResourceCapError,
-    _SPLICE,
-    _walk_words,
     count_words,
     enumerate_words,
     evaluate,
@@ -160,6 +160,54 @@ def test_walk_matches_the_recursive_reference():
         assert [v for v, _ in walked] == list(islice(_reference_words(w), 2_000))
         for v, m in walked:
             assert m == word_stats(v).noncommuting
+
+
+@pytest.mark.parametrize(
+    "perms",
+    [
+        [w for n in range(1, 6) for w in iter_permutations(range(1, n + 1))],
+        [longest_element(6)],
+    ],
+    ids=["degree<=5", "w0(6)"],
+)
+def test_walk_totals_fold_the_walk(perms):
+    # the fold never expands a block; the walk writes out every word
+    for w in perms:
+        walked = [m for _, m in _walk_words(w)]
+        assert _walk_totals(w) == (len(walked), sum(walked)), w
+
+
+_NON_INT_CALLS = [
+    *(
+        (f, (w,))
+        for f in (
+            check_permutation,
+            length,
+            shape_of,
+            is_vexillary,
+            left_descents,
+            count_words,
+            enumerate_words,
+        )
+        for w in ((1.0, 2.0), (1, "a"), (True,))
+    ),
+    (evaluate, (3, (1.5,))),
+    (evaluate, (3, (True,))),
+    (rotate, (3, (1.0, 2, 1))),
+    (prefix_probability, ((3, 2, 1), (1.5,))),
+    (apply_simple_left, (1.0, (2, 1))),
+]
+
+
+@pytest.mark.parametrize(
+    "f, args",
+    _NON_INT_CALLS,
+    ids=[f"{f.__name__}{args!r}".replace(" ", "") for f, args in _NON_INT_CALLS],
+)
+def test_non_int_entries_and_letters_are_refused(f, args):
+    # each used to pass, or die with TypeError, before entries had to be ints
+    with pytest.raises(ValueError):
+        f(*args)
 
 
 def test_enumerate_words_cap():
