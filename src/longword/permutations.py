@@ -82,11 +82,15 @@ def length(w: Permutation) -> int:
 def apply_simple_left(i: int, w: Permutation) -> Permutation:
     """Compose s_i on the left: swap the values i and i+1 inside w.
 
+    Raises ValueError when w is not a permutation or i is not an int in
+    [1, n-1].
+
     >>> apply_simple_left(1, (4, 3, 2, 1))
     (4, 3, 1, 2)
     >>> apply_simple_left(2, (4, 3, 1, 2))
     (4, 2, 1, 3)
     """
+    w = check_permutation(w)
     n = len(w)
     if type(i) is not int or not 1 <= i <= n - 1:
         raise ValueError(f"simple index must be an int in [1, {n - 1}], got {i!r}")

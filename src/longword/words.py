@@ -106,9 +106,15 @@ class WordStats:
 def word_stats(letters: Sequence[int]) -> WordStats:
     """Count adjacent commuting/noncommuting pairs and braid windows.
 
+    Raises ValueError for a letter that is not an int (a float, a bool or
+    a string is refused).
+
     >>> word_stats((1, 2, 1, 3, 2, 1))
     WordStats(commutations=1, noncommuting=4, braids=1, ascending_pairs=1, descending_pairs=3)
     """
+    if not {*map(type, letters)} <= {int}:
+        k, i = next((k, i) for k, i in enumerate(letters, start=1) if type(i) is not int)
+        raise ValueError(f"letter {i!r} at position {k} is not an int")
     comm = nonc = asc = desc = braids = 0
     for a, b in zip(letters, letters[1:]):
         d = b - a

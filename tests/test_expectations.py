@@ -12,8 +12,10 @@ from longword.expectations import (
     ENUMERATE_CAP,
     EXACT_CAP,
     EXACT_CLOSED_CAP,
+    FLOAT_CAP,
     REFERENCE_CAP,
     ExpectationReport,
+    _noncommuting_expansion,
     asymptotic_noncommuting,
     double_factorial,
     expectation_report,
@@ -204,6 +206,49 @@ def test_float_path_against_high_precision():
             )
             oracle = mpmath.mpf(8) / (3 * (n * (n - 1) // 2)) * total
         assert math.isclose(expected_noncommuting_float(n), float(oracle), rel_tol=1e-13)
+
+
+def test_expansion_matches_exact_means():
+    mpmath = pytest.importorskip("mpmath")
+    for n in (2000, 3000, 4000):
+        exact = expected_noncommuting(n)
+        # the first dropped term is about 0.4 Lambda/n^4
+        with mpmath.workdps(30):
+            lam = mpmath.log(16 * n) + mpmath.euler
+            expansion = (
+                mpmath.mpf(128) * n / 9
+                - mpmath.mpf(64) / 9
+                + (mpmath.mpf(88) / 3 - 16 * lam) / n
+                + (mpmath.mpf(68) / 3 - 8 * lam) / n**2
+                + (mpmath.mpf(163) / 8 - 13 * lam / 2) / n**3
+            ) / mpmath.pi**2
+            gap = abs(expansion - mpmath.mpf(exact.numerator) / exact.denominator)
+            assert gap <= lam / n**4, (n, gap)
+        # the library's float evaluation of the same expansion
+        rounded = float(exact)
+        assert abs(_noncommuting_expansion(n) - rounded) <= 2 * math.ulp(rounded)
+
+
+def test_walk_and_expansion_meet_at_exact_cap():
+    walked = expected_noncommuting_float(EXACT_CAP)
+    assert math.isclose(_noncommuting_expansion(EXACT_CAP), walked, rel_tol=1e-14)
+    assert expected_noncommuting_float(EXACT_CAP + 1) == _noncommuting_expansion(EXACT_CAP + 1)
+
+
+def test_float_mean_at_float_cap_is_immediate():
+    # the running-product walk took about 70 s here
+    started = time.perf_counter()
+    value = expected_noncommuting_float(FLOAT_CAP)
+    assert time.perf_counter() - started < 0.1
+    assert math.isclose(value, ASYMPTOTIC_COEFFICIENT * FLOAT_CAP, rel_tol=1e-8)
+
+
+def test_distance_to_coefficient_shrinks_above_exact_cap():
+    distances = [
+        abs(expected_noncommuting_float(n) / n - ASYMPTOTIC_COEFFICIENT)
+        for n in (10**5, 10**6, 10**7, 10**8)
+    ]
+    assert all(a > b > 0 for a, b in zip(distances, distances[1:]))
 
 
 def test_asymptotic_coefficient_against_high_precision():

@@ -57,6 +57,10 @@ def test_apply_simple_left_examples():
         apply_simple_left(0, (2, 1))
     with pytest.raises(ValueError):
         apply_simple_left(3, (2, 1, 3))
+    # w must be a permutation: these used to swap values silently
+    for w in ((1, 1, 2), (1, 3), (0, 1), (2, 3)):
+        with pytest.raises(ValueError):
+            apply_simple_left(1, w)
 
 
 def test_length_examples():

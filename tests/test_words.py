@@ -196,6 +196,9 @@ _NON_INT_CALLS = [
     (rotate, (3, (1.0, 2, 1))),
     (prefix_probability, ((3, 2, 1), (1.5,))),
     (apply_simple_left, (1.0, (2, 1))),
+    (apply_simple_left, (1, (1.0, 2.0))),
+    (apply_simple_left, (1, (True, 2))),
+    *((word_stats, (w,)) for w in ((1.5, 2.5), (True, False), ("1", "2"), (1, 2, 1.0))),
 ]
 
 
@@ -208,6 +211,11 @@ def test_non_int_entries_and_letters_are_refused(f, args):
     # each used to pass, or die with TypeError, before entries had to be ints
     with pytest.raises(ValueError):
         f(*args)
+
+
+def test_word_stats_names_the_first_non_int_letter():
+    with pytest.raises(ValueError, match=r"letter 1\.0 at position 3 is not an int"):
+        word_stats((1, 2, 1.0, 2.5))
 
 
 def test_enumerate_words_cap():
