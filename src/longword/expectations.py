@@ -200,8 +200,11 @@ def _window_mean(n: int, m: int, patterns) -> Fraction:
     Rotation (words.rotate) is a bijection on the words of w0 that moves
     letters 2..ell one place left, so each of the ell - m + 1 windows has
     the law of the first: the mean is ell - m + 1 times the chance that
-    the word starts with one of the distinct patterns.  The word-count
-    table refuses n > DP_CAP before w0 is built or any pattern is read.
+    the word starts with one of the distinct patterns.  The chances come
+    from a CountingSession of degree n: it shares the filled table of a
+    live session of that degree, or fills one that is freed on return
+    unless another session took it up.  The session refuses n > DP_CAP
+    before w0 is built or any pattern is read.
     """
     table = CountingSession(n)
     w0 = longest_element(n)
@@ -308,13 +311,15 @@ def expectation_report(n: int, method: str = "closed_form") -> ExpectationReport
     """Compute the commutation expectation by the requested method.
 
     closed_form runs the integer walk (floating path beyond the exact
-    cap of 300); dp fills its own whole-group word-count table and reads
-    the starting-pair probabilities off it; enumeration averages the
-    noncommuting pairs over every word, folded a block of the word walk
-    at a time (a prefix and its list of suffixes, never expanded into
-    words), with no word-count table.  Enumeration refuses
-    n > ENUMERATE_CAP and dp n > DP_CAP, with ResourceCapError, before
-    any work.  All methods agree exactly wherever more than one applies.
+    cap of 300); dp reads the starting-pair probabilities off the
+    whole-group word-count table of degree n, shared with any live
+    CountingSession of that degree or else filled for the call and freed
+    after it; enumeration averages the noncommuting pairs over every
+    word, folded a block of the word walk at a time (a prefix and its
+    list of suffixes, never expanded into words), with no word-count
+    table.  Enumeration refuses n > ENUMERATE_CAP and dp n > DP_CAP,
+    with ResourceCapError, before any work.  All methods agree exactly
+    wherever more than one applies.
     """
     if n < 2:
         raise ValueError(f"degree must be at least 2, got {n}")

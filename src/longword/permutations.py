@@ -44,6 +44,8 @@ def longest_element(n: int) -> Permutation:
     >>> longest_element(1)
     (1,)
     """
+    if type(n) is not int:
+        raise ValueError(f"degree must be an int, got {n!r}")
     if n < 1:
         raise ValueError(f"degree must be at least 1, got {n}")
     return tuple(range(n, 0, -1))

@@ -199,7 +199,7 @@ _CHECKS = (
 
 def run_all(max_n: int = 6) -> list[CheckResult]:
     """Run every check clamped to degrees <= max_n; asymptotic checks always run."""
-    if not MIN_N <= max_n <= MAX_N:
-        raise ValueError(f"max_n must lie in [{MIN_N}, {MAX_N}], got {max_n}")
+    if type(max_n) is not int or not MIN_N <= max_n <= MAX_N:
+        raise ValueError(f"max_n must be an int in [{MIN_N}, {MAX_N}], got {max_n!r}")
     tally = functools.cache(_enumeration_pass)
     return [_run(name, check(max_n, tally)) for name, check in _CHECKS]

@@ -30,6 +30,7 @@ from longword.expectations import (
     proportions,
     sigma,
 )
+from longword.permutations import longest_element
 from longword.tableaux import conjugate, tableau_ratio
 from longword.verify import run_all
 from longword.words import DP_CAP, CountingSession, ResourceCapError, word_stats
@@ -354,3 +355,12 @@ def test_expectation_report_validates():
 def test_invalid_arguments_are_refused(call, args):
     with pytest.raises(ValueError):
         call(*args)
+
+
+@pytest.mark.parametrize(
+    "call, n", [(longest_element, 1.5), (longest_element, True), (run_all, 3.5), (run_all, 4.0)]
+)
+def test_non_int_degrees_are_refused(call, n):
+    # each used to die with TypeError, or to pass for True
+    with pytest.raises(ValueError, match="int"):
+        call(n)

@@ -20,7 +20,9 @@ from longword.permutations import (
     longest_element,
     shape_of,
 )
-from longword.tableaux import hook_length_count
+import longword.words
+from longword.expectations import expectation_report, expected_braids_by_counts
+from longword.tableaux import hook_length_count, staircase
 from longword.walk import _SPLICE, _walk_totals, _walk_words
 from longword.words import (
     DP_CAP,
@@ -199,6 +201,8 @@ _NON_INT_CALLS = [
     (apply_simple_left, (1, (1.0, 2.0))),
     (apply_simple_left, (1, (True, 2))),
     *((word_stats, (w,)) for w in ((1.5, 2.5), (True, False), ("1", "2"), (1, 2, 1.0))),
+    # a non-int degree would be served the live table of an equal int degree
+    *((CountingSession, (n,)) for n in (1.5, 9.0, True)),
 ]
 
 
@@ -338,22 +342,67 @@ def test_entries_count_the_filled_table():
         assert session.entries == factorial(n)
 
 
+def test_live_sessions_of_one_degree_share_the_filled_table(monkeypatch):
+    n = 7
+    fills = []
+    fill_block = longword.words._fill_block
+
+    def counting_fill_block(table, lo, k):
+        if k == n:
+            fills.append(k)
+        fill_block(table, lo, k)
+
+    read = []
+    prefix_probability = CountingSession.prefix_probability
+
+    def recording_prefix_probability(self, w, prefix):
+        result = prefix_probability(self, w, prefix)
+        read.append(self._table)
+        return result
+
+    held = CountingSession(n)
+    held.count(longest_element(n))
+    monkeypatch.setattr(longword.words, "_fill_block", counting_fill_block)
+    monkeypatch.setattr(CountingSession, "prefix_probability", recording_prefix_probability)
+    second = CountingSession(n)
+    assert second.count(longest_element(n)) == hook_length_count(staircase(n))
+    assert second._table is held._table
+    closed = expectation_report(n, "closed_form").e_noncommuting
+    assert expectation_report(n, "dp").e_noncommuting == closed
+    assert expected_braids_by_counts(n) == 1
+    assert read and all(table is held._table for table in read)
+    assert fills == []
+
+
 def test_a_dropped_session_frees_its_table():
-    # No reference cycle may hold the table until the cyclic collector runs.
+    # No reference cycle may hold the table until the cyclic collector runs,
+    # and a table shared by two sessions lives until both are dropped.
+    n = 8
     collecting = gc.isenabled()
     gc.disable()
     tracemalloc.start()
     try:
-        session = CountingSession(8)
-        session.count(longest_element(8))
+        first = CountingSession(n)
+        first.count(longest_element(n))
+        second = CountingSession(n)
+        second.count(longest_element(n))
+        assert second._table is first._table
         filled, _ = tracemalloc.get_traced_memory()
-        del session
+        del first
+        kept, _ = tracemalloc.get_traced_memory()
+        del second
         left, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
         if collecting:
             gc.enable()
+    assert kept > filled * 9 / 10
     assert left < filled / 10
+    assert longword.words._FILLED.get(n) is None
+    session = CountingSession(n)
+    session.count(longest_element(n))
+    text = ",".join(map(str, session._table))
+    assert hashlib.sha256(text.encode()).hexdigest() == TABLE_DIGESTS[n]
 
 
 def test_stanley_count_for_every_vexillary_degree_five():
