@@ -8,43 +8,48 @@ expected number of braid windows is the constant 1 for every degree n >= 3.
 
 Every closed form is built from one ratio sequence
 h(x) = (2x+1)!!/(2^x x!), with h(x) = h(x-1) (2x+1)/(2x).  The exact
-and floating means run the same running-product walk over h, on the
-integers 4^(n-2) h(x) and on floats; sigma and the product form code
-the terms again from half-integer ratios, as the independent reference.
+mean runs a running-product walk over the integers 4^(n-2) h(x); sigma
+and the product form code the terms again from half-integer ratios, as
+the independent reference.
 
-Above EXACT_CAP the floating mean is the asymptotic expansion instead,
-in O(1).  Since h(x) is the coefficient of z^x in (1-z)^(-3/2), the mean
-is 6/ell [z^(n-3)] F(z)^2 with F = 2F1(3/2, 5/2; 2; z).  The singular
-expansion of F at z = 1 (Abramowitz-Stegun 15.3.12) carries ln((1-z)/16),
-and extracting coefficients from F^2 gives, with
-Lambda = ln(16 n) + Euler's constant,
+The floating mean is the exact mean rounded, up to EXACT_CLOSED_CAP, and
+the asymptotic expansion above it, in O(1).  Since h(x) is the
+coefficient of z^x in (1-z)^(-3/2), the mean is 6/ell [z^(n-3)] F(z)^2
+with F = 2F1(3/2, 5/2; 2; z).  The singular expansion of F at z = 1
+(Abramowitz-Stegun 15.3.12) carries ln((1-z)/16), and extracting
+coefficients from F^2 gives, with Lambda = ln(16 n) + Euler's constant,
 
     pi^2 E(n) = 128 n/9 - 64/9 + (88/3 - 16 Lambda)/n
-                + (68/3 - 8 Lambda)/n^2 + (163/8 - 13 Lambda/2)/n^3 + O(ln(n)/n^4).
+                + (68/3 - 8 Lambda)/n^2 + (163/8 - 13 Lambda/2)/n^3
+                + (919/48 - 23 Lambda/4)/n^4 + (3027/160 - 359 Lambda/64)/n^5
+                + O(ln(n)/n^6).
 
-Against the exact means the error is about 0.4 Lambda/n^4 (5e-16 at
-n = 10^4), far below the rounding of the float.
+The first dropped term, (37187/1920 - 739 Lambda/128)/(pi^2 n^6), is
+-4.5e-15 at n = 301, under a tenth of an ulp of the mean there.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .permutations import ResourceCapError, longest_element
+from .permutations import ResourceCapError, check_degree, longest_element
 from .walk import _walk_totals
 from .words import CountingSession
 
 EXACT_CLOSED_CAP = 300
+# The integer walk of expected_noncommuting(10^4) took 8.9-11.4 s in six
+# fresh processes, with a 19 MiB peak (2 CPUs, Python 3.11); its cost grows
+# faster than n^2.  It caps only the exact rational.
 EXACT_CAP = 10**4
 REFERENCE_CAP = 2000
-# The floating mean costs O(1) above EXACT_CAP, so this cap no longer
-# guards its time; it stays because `longword --help` and the refusals of
-# `expect` and of `table`'s degree sum are stated in terms of it.
+# Above EXACT_CLOSED_CAP the floating mean costs about 1 us at any degree, so
+# this cap bounds no time.  It keeps ell - 1 below 2^53 (which n passes near
+# 1.34e8), so the floating commutation mean ell - 1 - E(n) starts from an
+# exact float; `expect` and `table` refuse degrees above it.
 FLOAT_CAP = 10**8
 # The enumeration mean folds one block of the word walk per reduced prefix
 # of all but the last six letters of w0: 19,402 blocks (292,864 words) at
@@ -108,8 +113,7 @@ def sigma(n: int, j: int) -> Fraction:
     >>> sigma(3, 1)
     Fraction(2, 1)
     """
-    if n < 3:
-        raise ValueError(f"degree must be at least 3, got {n}")
+    check_degree(n, 3)
     if not 1 <= j <= n - 2:
         raise ValueError(f"index must lie in [1, {n - 2}], got {j}")
     if n > REFERENCE_CAP:
@@ -132,27 +136,26 @@ def expected_noncommuting_product_form(n: int) -> Fraction:
 
     Refuses n > REFERENCE_CAP before any work, at its first term.
     """
-    if n < 2:
-        raise ValueError(f"degree must be at least 2, got {n}")
+    check_degree(n, 2)
     return sum((sigma(n, j) for j in range(1, n - 1)), Fraction(0))
 
 
-def _pair_products(n: int, h0, div):
-    """Yield h0^4 h(j-1) h(j) h(k-1) h(k) for j = 1..n-2, with k = n-1-j.
+def _pair_products(n: int):
+    """Yield s^4 h(j-1) h(j) h(k-1) h(k), s = 4^(n-2), for j = 1..n-2, k = n-1-j.
 
-    h is carried as the running product h0 h(x) = div(h0 h(x-1) (2x+1), 2x):
-    one pair walks up from h0 h(0) = h0 and one walks down from h0 h(n-2),
-    found by a first pass.  With h0 = 4^(n-2) every value is an integer,
-    so floor division is exact; with h0 = 1.0 it is the float path.
+    h is carried as the running product s h(x) = s h(x-1) (2x+1) // (2x):
+    one pair walks up from s h(0) = s and one walks down from s h(n-2),
+    found by a first pass.  Every s h(x) with x <= n-2 is an integer,
+    so floor division is exact.
     """
-    top = h0
+    top = scale = 4 ** (n - 2)
     for x in range(1, n - 1):
-        top = div(top * (2 * x + 1), 2 * x)
-    hi, k_lo = h0, top
+        top = top * (2 * x + 1) // (2 * x)
+    hi, k_lo = scale, top
     for j in range(1, n - 1):
         k = n - 1 - j
-        lo, hi = hi, div(hi * (2 * j + 1), 2 * j)
-        k_lo, k_hi = div(k_lo * (2 * k), 2 * k + 1), k_lo
+        lo, hi = hi, hi * (2 * j + 1) // (2 * j)
+        k_lo, k_hi = k_lo * (2 * k) // (2 * k + 1), k_lo
         yield lo * hi * k_lo * k_hi
 
 
@@ -166,15 +169,13 @@ def expected_noncommuting(n: int) -> Fraction:
     >>> expected_noncommuting(4)
     Fraction(15, 4)
     """
-    if n < 2:
-        raise ValueError(f"degree must be at least 2, got {n}")
+    check_degree(n, 2)
     if n > EXACT_CAP:
         raise ResourceCapError(
             f"the exact mean of degree {n} is above the cap of {EXACT_CAP}"
         )
-    scale = 4 ** (n - 2)
-    total = sum(_pair_products(n, scale, operator.floordiv))
-    return Fraction(8 * total, 3 * (n * (n - 1) // 2) * scale**4)
+    total = sum(_pair_products(n))
+    return Fraction(8 * total, 3 * (n * (n - 1) // 2) * 4 ** (4 * (n - 2)))
 
 
 def expected_commutations(n: int) -> Fraction:
@@ -218,8 +219,7 @@ def expected_braids_by_counts(n: int) -> Fraction:
     >>> expected_braids_by_counts(4)
     Fraction(1, 1)
     """
-    if n < 2:
-        raise ValueError(f"degree must be at least 2, got {n}")
+    check_degree(n, 2)
     braids = (b for j in range(1, n - 1) for b in ((j, j + 1, j), (j + 1, j, j + 1)))
     return _window_mean(n, 3, braids)
 
@@ -227,25 +227,24 @@ def expected_braids_by_counts(n: int) -> Fraction:
 def expected_noncommuting_float(n: int) -> float:
     """Floating noncommuting mean, for 2 <= n <= FLOAT_CAP.
 
-    Up to EXACT_CAP it runs the exact mean's walk on floats; above, it
+    Up to EXACT_CLOSED_CAP it is the exact mean rounded; above, it
     evaluates the asymptotic expansion of the module docstring.
     """
-    if n < 2:
-        raise ValueError(f"degree must be at least 2, got {n}")
+    check_degree(n, 2)
     if n > FLOAT_CAP:
         raise ResourceCapError(
             f"the floating mean of degree {n} is above the cap of {FLOAT_CAP}"
         )
-    if n > EXACT_CAP:
-        return _noncommuting_expansion(n)
-    ell = n * (n - 1) // 2
-    return 8 / (3 * ell) * math.fsum(_pair_products(n, 1.0, operator.truediv))
+    if n <= EXACT_CLOSED_CAP:
+        return float(expected_noncommuting(n))
+    return _noncommuting_expansion(n)
 
 
 def _noncommuting_expansion(n: int) -> float:
     """The module docstring's expansion of the noncommuting mean, in floats."""
     lam = math.log(16 * n) + 0.5772156649015329  # Euler's constant
-    tail = (88 / 3 - 16 * lam + (68 / 3 - 8 * lam + (163 / 8 - 6.5 * lam) / n) / n) / n
+    tail = (919 / 48 - 5.75 * lam + (3027 / 160 - 5.609375 * lam) / n) / n
+    tail = (88 / 3 - 16 * lam + (68 / 3 - 8 * lam + (163 / 8 - 6.5 * lam + tail) / n) / n) / n
     # the two leading terms are 128/(9 pi^2) (n - 1/2), and n - 1/2 is exact
     return ASYMPTOTIC_COEFFICIENT * (n - 0.5) + tail / math.pi**2
 
@@ -257,8 +256,7 @@ def expected_commutations_float(n: int) -> float:
 
 
 def _check_asymptotic_degree(n: int) -> None:
-    if n < 3:
-        raise ValueError(f"degree must be at least 3, got {n}")
+    check_degree(n, 3)
     if n > ASYMPTOTIC_CAP:
         raise ValueError(
             f"degree is above {ASYMPTOTIC_CAP:.6g}, "
@@ -321,8 +319,7 @@ def expectation_report(n: int, method: str = "closed_form") -> ExpectationReport
     with ResourceCapError, before any work.  All methods agree exactly
     wherever more than one applies.
     """
-    if n < 2:
-        raise ValueError(f"degree must be at least 2, got {n}")
+    check_degree(n, 2)
     ell = n * (n - 1) // 2
     if method == "closed_form":
         if n > EXACT_CLOSED_CAP:

@@ -30,9 +30,16 @@ def is_permutation(seq: Iterable[int]) -> bool:
     return sorted(values) == list(range(1, len(values) + 1))
 
 
+def check_degree(n: int, least: int = 1) -> None:
+    """Raise ValueError unless n is an int (not a bool) of at least `least`."""
+    if type(n) is not int:
+        raise ValueError(f"degree must be an int, got {n!r}")
+    if n < least:
+        raise ValueError(f"degree must be at least {least}, got {n}")
+
+
 def identity(n: int) -> Permutation:
-    if n < 1:
-        raise ValueError(f"degree must be at least 1, got {n}")
+    check_degree(n)
     return tuple(range(1, n + 1))
 
 
@@ -44,10 +51,7 @@ def longest_element(n: int) -> Permutation:
     >>> longest_element(1)
     (1,)
     """
-    if type(n) is not int:
-        raise ValueError(f"degree must be an int, got {n!r}")
-    if n < 1:
-        raise ValueError(f"degree must be at least 1, got {n}")
+    check_degree(n)
     return tuple(range(n, 0, -1))
 
 
@@ -175,8 +179,7 @@ def two_step_lowering(n: int, j: int) -> Permutation:
     >>> two_step_lowering(4, 2)
     (3, 2, 4, 1)
     """
-    if n < 3:
-        raise ValueError(f"degree must be at least 3, got {n}")
+    check_degree(n, 3)
     if not 1 <= j <= n - 2:
         raise ValueError(f"index must lie in [1, {n - 2}], got {j}")
     return apply_simple_left(j + 1, apply_simple_left(j, longest_element(n)))

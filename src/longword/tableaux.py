@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
-from .permutations import ResourceCapError, Shape
+from .permutations import ResourceCapError, Shape, check_degree
 
 # hook_length_count takes 2.1-2.6 s at 79,800 cells (staircase(400)), and at
 # the cap 3.0-4.0 s for staircase(447) (99,681 cells) and 4.3-5.2 s for the
@@ -32,8 +32,7 @@ def staircase(n: int) -> Shape:
     >>> staircase(1)
     ()
     """
-    if n < 1:
-        raise ValueError(f"degree must be at least 1, got {n}")
+    check_degree(n)
     return tuple(range(n - 1, 0, -1))
 
 
@@ -129,8 +128,7 @@ def tableau_ratio(n: int, j: int) -> Fraction:
     >>> tableau_ratio(3, 1)
     Fraction(1, 2)
     """
-    if n < 3:
-        raise ValueError(f"degree must be at least 3, got {n}")
+    check_degree(n, 3)
     if not 1 <= j <= n - 2:
         raise ValueError(f"index must lie in [1, {n - 2}], got {j}")
     if n * (n - 1) // 2 > HOOK_CELLS_CAP:  # before the staircase is built

@@ -24,6 +24,7 @@ from .permutations import (
     Permutation,
     ResourceCapError,
     _inversion_code,
+    check_degree,
     check_permutation,
     longest_element,
 )
@@ -73,8 +74,7 @@ def evaluate(n: int, letters: Sequence[int]) -> Permutation:
     >>> evaluate(4, (1, 3, 2, 1))
     (4, 2, 1, 3)
     """
-    if n < 1:
-        raise ValueError(f"degree must be at least 1, got {n}")
+    check_degree(n)
     w = list(range(1, n + 1))
     for k, i in enumerate(letters, start=1):
         if type(i) is not int or not 1 <= i <= n - 1:
@@ -223,10 +223,7 @@ class CountingSession:
     """
 
     def __init__(self, n: int):
-        if type(n) is not int:
-            raise ValueError(f"degree must be an int, got {n!r}")
-        if n < 1:
-            raise ValueError(f"degree must be at least 1, got {n}")
+        check_degree(n)
         if n > DP_CAP:
             raise ResourceCapError(f"degree {n} is above the table's cap of {DP_CAP}")
         self.n = n

@@ -14,7 +14,7 @@ import longword.cli
 import longword.expectations
 import longword.verify
 import longword.walk
-from longword.cli import _CAPS_NOTE, CSV_HEADER, main
+from longword.cli import _CAPS_NOTE, CSV_HEADER, TABLE_ROWS_CAP, main
 from longword.expectations import (
     ASYMPTOTIC_COEFFICIENT,
     EXACT_CLOSED_CAP,
@@ -238,20 +238,24 @@ def test_table_float_rows_golden(capsys):
     # the first floating rows past the exact cap, pinned byte for byte
     code, out, _ = run_cli(capsys, "table", "--from", "301", "--to", "400", "--format", "csv")
     assert code == 0
-    digest = "8f3d754b886b6bb5e7098853f7db3dd12e0db1ddff91e043216d314d34043284"
+    digest = "ab4123ab6a46f8e5fa0d61f30619faced5af7d8374a4b507d2a8d06b97c68488"
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+    for line in out.splitlines()[1:]:
+        n, nonc = int(line.split(",")[0]), float(line.split(",")[5])
+        rounded = float(expected_noncommuting(n))
+        assert abs(nonc - rounded) <= math.ulp(rounded), n
 
 
 def test_float_cap_is_refused_up_front(capsys):
-    # the first table whose floating rows sum past the cap
-    last = 14145
-    assert sum(range(EXACT_CLOSED_CAP + 1, last + 1)) > FLOAT_CAP
-    assert sum(range(EXACT_CLOSED_CAP + 1, last)) <= FLOAT_CAP
+    # the first table from 3 with more rows than the cap
+    last = 100_003
+    assert last - 3 == TABLE_ROWS_CAP
     for args in (
         ("expect", "--n", str(10**12)),
         ("expect", "--n", str(FLOAT_CAP + 1)),
         ("table", "--from", "3", "--to", str(10**6)),
         ("table", "--from", "3", "--to", str(last)),
+        ("table", "--from", str(FLOAT_CAP), "--to", str(FLOAT_CAP + 1)),
         ("sample", "--n", "10", "--trials", str(TRIALS_CAP + 1)),
         ("sample", "--n", "10", "--trials", str(10**9)),
         ("sample", "--n", "300", "--trials", "1000"),
@@ -262,6 +266,14 @@ def test_float_cap_is_refused_up_front(capsys):
         assert code == 3 and out == "" and "cap" in err
 
 
+def test_largest_degree_sum_table_is_admitted(capsys):
+    # the largest table from 3 whose rows above 300 sum to at most FLOAT_CAP
+    # degrees, the bound this command kept before its row cap
+    code, out, _ = run_cli(capsys, "table", "--from", "3", "--to", "14144")
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 14142
+
+
 def test_caps_note_is_pinned():
     # the --help epilog restates every cap, wherever its constant lives
     assert _CAPS_NOTE == (
@@ -269,9 +281,9 @@ def test_caps_note_is_pinned():
         "sample requires n <= 300 and --trials <= 1000000 at n <= 10, "
         "scaled by (10/n)^3 beyond, "
         "exact closed-form rationals stop at n <= 300 (floating path beyond, "
-        "up to n <= 100000000; a table's floating rows may sum to that many "
-        "degrees), asymptotics requires n <= 1.24752e+308, "
-        "table rows carry exact columns only for n <= 10"
+        "up to n <= 100000000), asymptotics requires n <= 1.24752e+308, "
+        "a table has at most 100000 rows, "
+        "which carry exact columns only for n <= 10"
     )
 
 
@@ -372,8 +384,8 @@ def test_verify_detects_tampered_pair_products(capsys, monkeypatch):
     """Seeded-bug drill: doubling one closed-form term must trip the checks."""
     true_walk = longword.expectations._pair_products
 
-    def tampered(n, h0, div):
-        terms = true_walk(n, h0, div)
+    def tampered(n):
+        terms = true_walk(n)
         yield 2 * next(terms, 0)
         yield from terms
 

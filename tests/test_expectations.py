@@ -30,10 +30,10 @@ from longword.expectations import (
     proportions,
     sigma,
 )
-from longword.permutations import longest_element
-from longword.tableaux import conjugate, tableau_ratio
+from longword.permutations import identity, longest_element
+from longword.tableaux import conjugate, staircase, tableau_ratio
 from longword.verify import run_all
-from longword.words import DP_CAP, CountingSession, ResourceCapError, word_stats
+from longword.words import DP_CAP, CountingSession, ResourceCapError, evaluate, word_stats
 
 
 def test_double_factorial():
@@ -184,17 +184,21 @@ def test_braid_mean_by_counts_matches_enumeration(words_of_longest):
 
 def test_float_path_agrees_with_exact_at_cap():
     exact = float(expected_noncommuting(EXACT_CLOSED_CAP))
-    floated = expected_noncommuting_float(EXACT_CLOSED_CAP)
-    assert math.isclose(floated, exact, rel_tol=1e-12)
+    assert expected_noncommuting_float(EXACT_CLOSED_CAP) == exact
     exact_c = float(expected_commutations(EXACT_CLOSED_CAP))
     assert math.isclose(expected_commutations_float(EXACT_CLOSED_CAP), exact_c, rel_tol=1e-12)
 
 
-@given(st.integers(3, 120))
+@given(st.integers(2, EXACT_CLOSED_CAP))
 def test_float_path_agrees_with_exact_generally(n):
-    assert math.isclose(
-        expected_noncommuting_float(n), float(expected_noncommuting(n)), rel_tol=1e-11
-    )
+    assert expected_noncommuting_float(n) == float(expected_noncommuting(n))
+
+
+def test_float_mean_within_an_ulp_above_exact_closed_cap():
+    # above the switch the expansion stands in for the rounded exact mean
+    for n in (301, 302, 350, 500, 1000, 2000, 4000):
+        rounded = float(expected_noncommuting(n))
+        assert abs(expected_noncommuting_float(n) - rounded) <= math.ulp(rounded), n
 
 
 def test_float_path_against_high_precision():
@@ -213,8 +217,8 @@ def test_expansion_matches_exact_means():
     mpmath = pytest.importorskip("mpmath")
     for n in (2000, 3000, 4000):
         exact = expected_noncommuting(n)
-        # the first dropped term is about 0.4 Lambda/n^4
-        with mpmath.workdps(30):
+        # the first dropped term is about 0.4 Lambda/n^6 here
+        with mpmath.workdps(40):
             lam = mpmath.log(16 * n) + mpmath.euler
             expansion = (
                 mpmath.mpf(128) * n / 9
@@ -222,22 +226,26 @@ def test_expansion_matches_exact_means():
                 + (mpmath.mpf(88) / 3 - 16 * lam) / n
                 + (mpmath.mpf(68) / 3 - 8 * lam) / n**2
                 + (mpmath.mpf(163) / 8 - 13 * lam / 2) / n**3
+                + (mpmath.mpf(919) / 48 - 23 * lam / 4) / n**4
+                + (mpmath.mpf(3027) / 160 - 359 * lam / 64) / n**5
             ) / mpmath.pi**2
             gap = abs(expansion - mpmath.mpf(exact.numerator) / exact.denominator)
-            assert gap <= lam / n**4, (n, gap)
+            assert gap <= lam / n**6, (n, gap)
         # the library's float evaluation of the same expansion
         rounded = float(exact)
-        assert abs(_noncommuting_expansion(n) - rounded) <= 2 * math.ulp(rounded)
+        assert abs(_noncommuting_expansion(n) - rounded) <= math.ulp(rounded)
 
 
-def test_walk_and_expansion_meet_at_exact_cap():
-    walked = expected_noncommuting_float(EXACT_CAP)
-    assert math.isclose(_noncommuting_expansion(EXACT_CAP), walked, rel_tol=1e-14)
-    assert expected_noncommuting_float(EXACT_CAP + 1) == _noncommuting_expansion(EXACT_CAP + 1)
+def test_exact_and_expansion_meet_at_exact_closed_cap():
+    rounded = float(expected_noncommuting(EXACT_CLOSED_CAP))
+    assert expected_noncommuting_float(EXACT_CLOSED_CAP) == rounded
+    assert abs(_noncommuting_expansion(EXACT_CLOSED_CAP) - rounded) <= math.ulp(rounded)
+    above = EXACT_CLOSED_CAP + 1
+    assert expected_noncommuting_float(above) == _noncommuting_expansion(above)
 
 
 def test_float_mean_at_float_cap_is_immediate():
-    # the running-product walk took about 70 s here
+    # the mean at the cap comes from the O(1) expansion, not a walk over n terms
     started = time.perf_counter()
     value = expected_noncommuting_float(FLOAT_CAP)
     assert time.perf_counter() - started < 0.1
@@ -358,9 +366,30 @@ def test_invalid_arguments_are_refused(call, args):
 
 
 @pytest.mark.parametrize(
-    "call, n", [(longest_element, 1.5), (longest_element, True), (run_all, 3.5), (run_all, 4.0)]
+    "call, n",
+    [
+        (longest_element, 1.5),
+        (longest_element, True),
+        (run_all, 3.5),
+        (run_all, 4.0),
+        (identity, 1.5),
+        (staircase, 1.5),
+        pytest.param(lambda n: evaluate(n, ()), 1.5, id="evaluate-1.5"),
+        (expected_noncommuting, 5.0),
+        (expected_noncommuting_float, 5.0),
+        (expected_noncommuting_float, 20000.5),
+        (expected_commutations_float, 400.0),
+        (expected_noncommuting_product_form, 5.0),
+        pytest.param(lambda n: sigma(n, 1), 5.0, id="sigma-5.0"),
+        (expected_braids_by_counts, 4.0),
+        (expectation_report, 5.0),
+        pytest.param(lambda n: expectation_report(n, "dp"), 5.0, id="expectation_report_dp-5.0"),
+        pytest.param(lambda n: tableau_ratio(n, 1), 4.0, id="tableau_ratio-4.0"),
+        (asymptotic_noncommuting, 800.0),
+        (proportions, 800.0),
+    ],
 )
 def test_non_int_degrees_are_refused(call, n):
-    # each used to die with TypeError, or to pass for True
+    # each used to die with TypeError, or to return a value for True or a float
     with pytest.raises(ValueError, match="int"):
         call(n)
