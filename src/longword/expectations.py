@@ -7,16 +7,33 @@ pair (j, j+1); commutations are the complement ell - 1 minus that.  The
 expected number of braid windows is the constant 1 for every degree n >= 3.
 
 Every closed form is built from one ratio sequence
-h(x) = (2x+1)!!/(2^x x!), with h(x) = h(x-1) (2x+1)/(2x).  The exact
-mean runs a running-product walk over the integers 4^(n-2) h(x); sigma
-and the product form code the terms again from half-integer ratios, as
-the independent reference.
+h(x) = (2x+1)!!/(2^x x!), with h(x) = h(x-1) (2x+1)/(2x).  sigma and the
+product form code the terms from half-integer ratios, as the independent
+reference.  Since h(x) is the coefficient of z^x in (1-z)^(-3/2), the
+mean is E(n) = 6/ell [z^(n-3)] F(z)^2 with F = 2F1(3/2, 5/2; 2; z), and
+the exact mean runs a three-term recurrence for the coefficients of F^2.
+
+F solves Euler's hypergeometric equation y'' + P y' + Q y = 0, with
+P = (2 - 5z)/(z(1-z)) and Q = -(15/4)/(z(1-z)), so u = F^2 solves its
+symmetric square u''' + 3P u'' + (2P^2 + P' + 4Q) u' + (4PQ + 2Q') u = 0.
+Clearing denominators and taking [z^M] gives, for c_M = [z^M] F^2,
+
+    2(M+1)(M+2)(M+3) c_(M+1) = (2M+5)(2M^2+10M+9) c_M
+                               - 2(M+2)(M+3)(M+4) c_(M-1).
+
+The recurrence runs on U(n) = (9/4) 256^(n-2) c_(n-3), which is the sum
+over j of s^4 h(j-1) h(j) h(k-1) h(k) with s = 4^(n-2) and k = n-1-j.
+Each s h(x) with x <= n-2 is an integer, so U(n) is one, and
+E(n) = 8 U(n) / (3 ell 4^(4(n-2))).  With M = n-2 the relation reads
+
+    (n-1) n (n+1) U(n+2) = 128 (4n^3 + 6n^2 - 4n - 3) U(n+1)
+                           - 65536 n (n+1) (n+2) U(n),
+
+from U(2) = 0 and U(3) = 576, and its division is exact.
 
 The floating mean is the exact mean rounded, up to EXACT_CLOSED_CAP, and
-the asymptotic expansion above it, in O(1).  Since h(x) is the
-coefficient of z^x in (1-z)^(-3/2), the mean is 6/ell [z^(n-3)] F(z)^2
-with F = 2F1(3/2, 5/2; 2; z).  The singular expansion of F at z = 1
-(Abramowitz-Stegun 15.3.12) carries ln((1-z)/16), and extracting
+the asymptotic expansion above it, in O(1).  The singular expansion of F
+at z = 1 (Abramowitz-Stegun 15.3.12) carries ln((1-z)/16), and extracting
 coefficients from F^2 gives, with Lambda = ln(16 n) + Euler's constant,
 
     pi^2 E(n) = 128 n/9 - 64/9 + (88/3 - 16 Lambda)/n
@@ -41,10 +58,12 @@ from .walk import _walk_totals
 from .words import CountingSession
 
 EXACT_CLOSED_CAP = 300
-# The integer walk of expected_noncommuting(10^4) took 8.9-11.4 s in six
+# The recurrence of expected_noncommuting(10^4) took 0.36-0.45 s in six
 # fresh processes, with a 19 MiB peak (2 CPUs, Python 3.11); its cost grows
-# faster than n^2.  It caps only the exact rational.
+# about as n^2 (1.4 s at 2 * 10^4).  It caps only the exact rational.
 EXACT_CAP = 10**4
+# U(2) and U(3), the two totals that start the recurrence
+_U_START = (0, 576)
 REFERENCE_CAP = 2000
 # Above EXACT_CLOSED_CAP the floating mean costs about 1 us at any degree, so
 # this cap bounds no time.  It keeps ell - 1 below 2^53 (which n passes near
@@ -75,8 +94,7 @@ def double_factorial(m: int) -> int:
     >>> double_factorial(0)
     1
     """
-    if m < -1:
-        raise ValueError(f"double factorial needs m >= -1, got {m}")
+    check_degree(m, -1)
     if m > 2 * REFERENCE_CAP + 1:  # 4.5 s at m = 2 * 10^5 + 1 (2 CPUs)
         raise ResourceCapError(f"{m}!! is above the cap of {2 * REFERENCE_CAP + 1}")
     result = 1
@@ -96,8 +114,7 @@ def half_integer_ratio(i: int) -> Fraction:
     >>> half_integer_ratio(2)
     Fraction(15, 8)
     """
-    if i < 0:
-        raise ValueError(f"index must be nonnegative, got {i}")
+    check_degree(i, 0)
     return Fraction(double_factorial(2 * i + 1), 2**i * factorial(i))
 
 
@@ -132,7 +149,7 @@ def sigma(n: int, j: int) -> Fraction:
 
 
 def expected_noncommuting_product_form(n: int) -> Fraction:
-    """Reference noncommuting mean: the sum of sigma(n, j), independent of the walk.
+    """Reference noncommuting mean: the sum of sigma(n, j), independent of the recurrence.
 
     Refuses n > REFERENCE_CAP before any work, at its first term.
     """
@@ -140,27 +157,26 @@ def expected_noncommuting_product_form(n: int) -> Fraction:
     return sum((sigma(n, j) for j in range(1, n - 1)), Fraction(0))
 
 
-def _pair_products(n: int):
-    """Yield s^4 h(j-1) h(j) h(k-1) h(k), s = 4^(n-2), for j = 1..n-2, k = n-1-j.
+def _noncommuting_means(n: int):
+    """Yield the exact means E(n), E(n+1), ... of a degree n >= 2, without end.
 
-    h is carried as the running product s h(x) = s h(x-1) (2x+1) // (2x):
-    one pair walks up from s h(0) = s and one walks down from s h(n-2),
-    found by a first pass.  Every s h(x) with x <= n-2 is an integer,
-    so floor division is exact.
+    Runs the module docstring's recurrence on U(m) from U(2) = 0 and
+    U(3) = 576: a step multiplies the two O(m)-bit totals by small integers.
     """
-    top = scale = 4 ** (n - 2)
-    for x in range(1, n - 1):
-        top = top * (2 * x + 1) // (2 * x)
-    hi, k_lo = scale, top
-    for j in range(1, n - 1):
-        k = n - 1 - j
-        lo, hi = hi, hi * (2 * j + 1) // (2 * j)
-        k_lo, k_hi = k_lo * (2 * k) // (2 * k + 1), k_lo
-        yield lo * hi * k_lo * k_hi
+    u, u_next = _U_START
+    m = 2
+    while True:
+        if m >= n:
+            yield Fraction(8 * u, (3 * (m * (m - 1) // 2)) << (8 * (m - 2)))
+        u, u_next = u_next, (
+            128 * (4 * m**3 + 6 * m**2 - 4 * m - 3) * u_next
+            - 65536 * m * (m + 1) * (m + 2) * u
+        ) // ((m - 1) * m * (m + 1))
+        m += 1
 
 
 def expected_noncommuting(n: int) -> Fraction:
-    """Exact mean count of adjacent noncommuting pairs, by the integer walk.
+    """Exact mean count of adjacent noncommuting pairs, by the recurrence.
 
     Refuses n > EXACT_CAP before any work.
 
@@ -174,8 +190,7 @@ def expected_noncommuting(n: int) -> Fraction:
         raise ResourceCapError(
             f"the exact mean of degree {n} is above the cap of {EXACT_CAP}"
         )
-    total = sum(_pair_products(n))
-    return Fraction(8 * total, 3 * (n * (n - 1) // 2) * 4 ** (4 * (n - 2)))
+    return next(_noncommuting_means(n))
 
 
 def expected_commutations(n: int) -> Fraction:
@@ -308,7 +323,7 @@ class ExpectationReport:
 def expectation_report(n: int, method: str = "closed_form") -> ExpectationReport:
     """Compute the commutation expectation by the requested method.
 
-    closed_form runs the integer walk (floating path beyond the exact
+    closed_form runs the recurrence (floating path beyond the exact
     cap of 300); dp reads the starting-pair probabilities off the
     whole-group word-count table of degree n, shared with any live
     CountingSession of that degree or else filled for the call and freed

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .permutations import ResourceCapError
+from .permutations import ResourceCapError, check_degree
 from .words import Word, word_stats
 
 # A draw costs about 75-130 ns * n^3 for n >= 10 (2 CPUs), so TRIALS_CAP
@@ -139,8 +139,7 @@ def sample_word(n: int, rng: random.Random, session: object = None) -> Word:
     session, and ignored.  Refuses n > DEGREE_CAP with ResourceCapError
     before any work.
     """
-    if n < 2:
-        raise ValueError(f"degree must be at least 2, got {n}")
+    check_degree(n, 2)
     if n > DEGREE_CAP:
         raise ResourceCapError(f"degree {n} is above the sampler's cap of {DEGREE_CAP}")
     return _promotion_word(_hook_walk(n, rng))
@@ -202,8 +201,10 @@ def monte_carlo(
     compatibility and ignored.  A draw costs O(n^3), so trials above
     TRIALS_CAP * (10 / max(n, 10))^3 (37 at n = 300) are refused with
     ResourceCapError before any draw; the first trial refuses n > DEGREE_CAP
-    the same way, and a seed outside the signed 64-bit range with ValueError.
+    the same way, and a seed outside the signed 64-bit range with ValueError,
+    as it does a degree that is not an int of at least 2.
     """
+    check_degree(n, 2)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     limit = TRIALS_CAP * 10**3 // max(n, 10) ** 3

@@ -19,6 +19,8 @@ HOOK_CELLS_CAP = 10**5
 def check_partition(parts: Sequence[int]) -> Shape:
     """Return parts as a tuple, dropping trailing zeros; reject non-partitions."""
     t = tuple(parts)
+    if any(type(p) is not int for p in t):
+        raise ValueError(f"parts must be ints, got {t!r}")
     if any(a < b for a, b in zip(t, t[1:])) or any(p < 0 for p in t):
         raise ValueError(f"not a partition: {tuple(parts)!r}")
     return t[: len(t) - t.count(0)]  # a partition's zeros all trail

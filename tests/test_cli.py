@@ -295,6 +295,15 @@ def test_table_writes_file(tmp_path, capsys):
     assert path.read_text(encoding="utf-8") == stdout_version
 
 
+def test_table_past_float_cap_writes_nothing(tmp_path, capsys):
+    # rows stream out as they are built, so the cap is checked before the first
+    path = tmp_path / "rows.json"
+    args = ("--from", str(FLOAT_CAP - 1), "--to", str(FLOAT_CAP + 1), "--format", "json")
+    code, out, err = run_cli(capsys, "table", *args, "--out", str(path))
+    assert code == 3 and out == "" and "cap" in err
+    assert not path.exists()
+
+
 def test_table_io_failure(tmp_path, capsys):
     missing = tmp_path / "absent" / "rows.csv"
     code, _, err = run_cli(
@@ -380,16 +389,11 @@ def test_verify_usage(capsys):
     assert run_cli(capsys, "verify", "--max-n", "11")[0] == 2
 
 
-def test_verify_detects_tampered_pair_products(capsys, monkeypatch):
-    """Seeded-bug drill: doubling one closed-form term must trip the checks."""
-    true_walk = longword.expectations._pair_products
-
-    def tampered(n):
-        terms = true_walk(n)
-        yield 2 * next(terms, 0)
-        yield from terms
-
-    monkeypatch.setattr(longword.expectations, "_pair_products", tampered)
+def test_verify_detects_tampered_recurrence(capsys, monkeypatch):
+    """Seeded-bug drill: doubling U(3), a start of the recurrence, must trip the checks."""
+    u2, u3 = longword.expectations._U_START
+    monkeypatch.setattr(longword.expectations, "_U_START", (u2, 2 * u3))
+    assert longword.expectations.expected_noncommuting(3) == 4
     code, out, _ = run_cli(capsys, "verify", "--max-n", "3")
     assert code == 1
     assert any(line.startswith("FAIL") for line in out.splitlines())

@@ -16,6 +16,7 @@ from longword.expectations import (
     REFERENCE_CAP,
     ExpectationReport,
     _noncommuting_expansion,
+    _noncommuting_means,
     asymptotic_noncommuting,
     double_factorial,
     expectation_report,
@@ -31,7 +32,8 @@ from longword.expectations import (
     sigma,
 )
 from longword.permutations import identity, longest_element
-from longword.tableaux import conjugate, staircase, tableau_ratio
+from longword.sampling import monte_carlo, sample_word, trial_generator
+from longword.tableaux import conjugate, hook_length_count, staircase, tableau_ratio
 from longword.verify import run_all
 from longword.words import DP_CAP, CountingSession, ResourceCapError, evaluate, word_stats
 
@@ -109,6 +111,36 @@ def test_complement_identity(n):
 @given(st.integers(2, 50))
 def test_product_form_agrees_with_sigma_sum(n):
     assert expected_noncommuting_product_form(n) == expected_noncommuting(n)
+
+
+def _f_squared_coefficients(count):
+    """[z^M] F(z)^2 for M < count, F = 2F1(3/2, 5/2; 2; z), by convolution."""
+    a = [Fraction(1)]
+    for k in range(count - 1):
+        # (3/2)_k (5/2)_k / ((2)_k k!), one factor of each at a time
+        a.append(a[-1] * Fraction(2 * k + 3, 2) * Fraction(2 * k + 5, 2) / ((k + 2) * (k + 1)))
+    return [sum(a[i] * a[m - i] for i in range(m + 1)) for m in range(count)]
+
+
+def test_recurrence_derivation_from_f_squared():
+    # the module docstring's relation for c_M = [z^M] F^2, and E(n) = 6 c_(n-3) / ell
+    c = _f_squared_coefficients(62)
+    for m in range(61):
+        below = c[m - 1] if m else 0
+        assert 2 * (m + 1) * (m + 2) * (m + 3) * c[m + 1] == (
+            (2 * m + 5) * (2 * m * m + 10 * m + 9) * c[m]
+            - 2 * (m + 2) * (m + 3) * (m + 4) * below
+        ), m
+    for n in range(3, 41):
+        assert 6 * c[n - 3] / (n * (n - 1) // 2) == expected_noncommuting(n), n
+
+
+def test_one_recurrence_run_gives_every_mean():
+    means = _noncommuting_means(2)
+    for n in range(2, 120):
+        assert next(means) == expected_noncommuting(n), n
+    later = _noncommuting_means(500)
+    assert [next(later) for _ in range(3)] == [expected_noncommuting(n) for n in (500, 501, 502)]
 
 
 @pytest.mark.parametrize("n", [301, 1000])
@@ -387,6 +419,14 @@ def test_invalid_arguments_are_refused(call, args):
         pytest.param(lambda n: tableau_ratio(n, 1), 4.0, id="tableau_ratio-4.0"),
         (asymptotic_noncommuting, 800.0),
         (proportions, 800.0),
+        pytest.param(lambda n: sample_word(n, trial_generator(0, 0)), 5.0, id="sample_word-5.0"),
+        pytest.param(lambda n: monte_carlo(n, 10, 0), 5.0, id="monte_carlo-5.0"),
+        pytest.param(lambda n: monte_carlo(n, 10**7, 0), 20.0, id="monte_carlo-20.0-past-cap"),
+        pytest.param(lambda n: hook_length_count((n, 1)), 2.0, id="hook_length_count-2.0"),
+        pytest.param(lambda n: hook_length_count((n, 1)), True, id="hook_length_count-True"),
+        (half_integer_ratio, 2.0),
+        (double_factorial, 5.0),
+        (double_factorial, True),
     ],
 )
 def test_non_int_degrees_are_refused(call, n):
