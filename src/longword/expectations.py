@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .permutations import ResourceCapError, check_degree, longest_element
+from .permutations import ResourceCapError, check_int, longest_element
 from .walk import _walk_totals
 from .words import CountingSession
 
@@ -94,7 +94,7 @@ def double_factorial(m: int) -> int:
     >>> double_factorial(0)
     1
     """
-    check_degree(m, -1)
+    check_int(m, -1, name="m")
     if m > 2 * REFERENCE_CAP + 1:  # 4.5 s at m = 2 * 10^5 + 1 (2 CPUs)
         raise ResourceCapError(f"{m}!! is above the cap of {2 * REFERENCE_CAP + 1}")
     result = 1
@@ -114,7 +114,7 @@ def half_integer_ratio(i: int) -> Fraction:
     >>> half_integer_ratio(2)
     Fraction(15, 8)
     """
-    check_degree(i, 0)
+    check_int(i, 0, name="i")
     return Fraction(double_factorial(2 * i + 1), 2**i * factorial(i))
 
 
@@ -130,9 +130,8 @@ def sigma(n: int, j: int) -> Fraction:
     >>> sigma(3, 1)
     Fraction(2, 1)
     """
-    check_degree(n, 3)
-    if not 1 <= j <= n - 2:
-        raise ValueError(f"index must lie in [1, {n - 2}], got {j}")
+    check_int(n, 3)
+    check_int(j, 1, n - 2, "index")
     if n > REFERENCE_CAP:
         # the sum over j takes 6-8 s at n = 2000 and 50 s at 4000 (2 CPUs)
         raise ResourceCapError(
@@ -153,7 +152,7 @@ def expected_noncommuting_product_form(n: int) -> Fraction:
 
     Refuses n > REFERENCE_CAP before any work, at its first term.
     """
-    check_degree(n, 2)
+    check_int(n, 2)
     return sum((sigma(n, j) for j in range(1, n - 1)), Fraction(0))
 
 
@@ -185,7 +184,7 @@ def expected_noncommuting(n: int) -> Fraction:
     >>> expected_noncommuting(4)
     Fraction(15, 4)
     """
-    check_degree(n, 2)
+    check_int(n, 2)
     if n > EXACT_CAP:
         raise ResourceCapError(
             f"the exact mean of degree {n} is above the cap of {EXACT_CAP}"
@@ -201,8 +200,8 @@ def expected_commutations(n: int) -> Fraction:
     >>> expected_commutations(4)
     Fraction(5, 4)
     """
-    ell = n * (n - 1) // 2
-    return Fraction(ell - 1) - expected_noncommuting(n)
+    e_nonc = expected_noncommuting(n)  # checks n before ell is formed
+    return Fraction(n * (n - 1) // 2 - 1) - e_nonc
 
 
 def expected_braids() -> Fraction:
@@ -234,7 +233,7 @@ def expected_braids_by_counts(n: int) -> Fraction:
     >>> expected_braids_by_counts(4)
     Fraction(1, 1)
     """
-    check_degree(n, 2)
+    check_int(n, 2)
     braids = (b for j in range(1, n - 1) for b in ((j, j + 1, j), (j + 1, j, j + 1)))
     return _window_mean(n, 3, braids)
 
@@ -245,7 +244,7 @@ def expected_noncommuting_float(n: int) -> float:
     Up to EXACT_CLOSED_CAP it is the exact mean rounded; above, it
     evaluates the asymptotic expansion of the module docstring.
     """
-    check_degree(n, 2)
+    check_int(n, 2)
     if n > FLOAT_CAP:
         raise ResourceCapError(
             f"the floating mean of degree {n} is above the cap of {FLOAT_CAP}"
@@ -266,22 +265,13 @@ def _noncommuting_expansion(n: int) -> float:
 
 def expected_commutations_float(n: int) -> float:
     """Floating commutation mean: ell - 1 minus the noncommuting mean, n <= FLOAT_CAP."""
-    ell = n * (n - 1) // 2
-    return ell - 1 - expected_noncommuting_float(n)
-
-
-def _check_asymptotic_degree(n: int) -> None:
-    check_degree(n, 3)
-    if n > ASYMPTOTIC_CAP:
-        raise ValueError(
-            f"degree is above {ASYMPTOTIC_CAP:.6g}, "
-            "where the leading-order mean stops being finite"
-        )
+    e_nonc = expected_noncommuting_float(n)  # checks n before ell is formed
+    return n * (n - 1) // 2 - 1 - e_nonc
 
 
 def asymptotic_noncommuting(n: int) -> float:
     """Leading-order noncommuting mean: 128/(9 pi^2) times n, for 3 <= n <= ASYMPTOTIC_CAP."""
-    _check_asymptotic_degree(n)
+    check_int(n, 3, ASYMPTOTIC_CAP)
     return ASYMPTOTIC_COEFFICIENT * n
 
 
@@ -291,7 +281,7 @@ def proportions(n: int) -> tuple[float, float, float]:
     Returns (commutations, noncommuting, braids) as
     (1, 256/(9 pi^2 n), 2/n^2), for 3 <= n <= ASYMPTOTIC_CAP.
     """
-    _check_asymptotic_degree(n)
+    check_int(n, 3, ASYMPTOTIC_CAP)
     return (1.0, 2 * ASYMPTOTIC_COEFFICIENT / n, 2 / n**2)
 
 
@@ -334,7 +324,7 @@ def expectation_report(n: int, method: str = "closed_form") -> ExpectationReport
     with ResourceCapError, before any work.  All methods agree exactly
     wherever more than one applies.
     """
-    check_degree(n, 2)
+    check_int(n, 2)
     ell = n * (n - 1) // 2
     if method == "closed_form":
         if n > EXACT_CLOSED_CAP:

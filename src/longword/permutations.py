@@ -20,26 +20,34 @@ class ResourceCapError(RuntimeError):
 
 
 def is_permutation(seq: Iterable[int]) -> bool:
-    """True when seq is a rearrangement of 1..n for n = len(seq).
-
-    Every entry must be of type int: a float, a string or a bool is not one.
-    """
-    values = list(seq)
-    if not all(type(v) is int for v in values):
+    """True when seq is a sequence of ints (not bools) that rearranges 1..len(seq)."""
+    try:
+        check_permutation(seq)
+    except ValueError:
         return False
-    return sorted(values) == list(range(1, len(values) + 1))
+    return True
 
 
-def check_degree(n: int, least: int = 1) -> None:
-    """Raise ValueError unless n is an int (not a bool) of at least `least`."""
-    if type(n) is not int:
-        raise ValueError(f"degree must be an int, got {n!r}")
-    if n < least:
-        raise ValueError(f"degree must be at least {least}, got {n}")
+def check_int(value: int, least: int = 1, most: int | None = None, name: str = "degree") -> int:
+    """Return value, or raise ValueError naming it unless it is an int in [least, most]."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < least or most is not None and value > most:
+        span = f"be at least {least}" if most is None else f"lie in [{least}, {most}]"
+        raise ValueError(f"{name} must {span}, got {value}")
+    return value
+
+
+def check_sequence(seq: Iterable, name: str) -> tuple:
+    """Return seq as a tuple; raise ValueError naming it when it is not iterable."""
+    try:
+        return tuple(seq)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence, got {seq!r}") from None
 
 
 def identity(n: int) -> Permutation:
-    check_degree(n)
+    check_int(n)
     return tuple(range(1, n + 1))
 
 
@@ -51,7 +59,7 @@ def longest_element(n: int) -> Permutation:
     >>> longest_element(1)
     (1,)
     """
-    check_degree(n)
+    check_int(n)
     return tuple(range(n, 0, -1))
 
 
@@ -97,9 +105,7 @@ def apply_simple_left(i: int, w: Permutation) -> Permutation:
     (4, 2, 1, 3)
     """
     w = check_permutation(w)
-    n = len(w)
-    if type(i) is not int or not 1 <= i <= n - 1:
-        raise ValueError(f"simple index must be an int in [1, {n - 1}], got {i!r}")
+    check_int(i, 1, len(w) - 1, "simple index")
     swap = {i: i + 1, i + 1: i}
     return tuple(swap.get(v, v) for v in w)
 
@@ -179,9 +185,8 @@ def two_step_lowering(n: int, j: int) -> Permutation:
     >>> two_step_lowering(4, 2)
     (3, 2, 4, 1)
     """
-    check_degree(n, 3)
-    if not 1 <= j <= n - 2:
-        raise ValueError(f"index must lie in [1, {n - 2}], got {j}")
+    check_int(n, 3)
+    check_int(j, 1, n - 2, "index")
     return apply_simple_left(j + 1, apply_simple_left(j, longest_element(n)))
 
 
@@ -189,9 +194,9 @@ def check_permutation(w: Sequence[int]) -> Permutation:
     """Return w as a tuple, raising ValueError when it is not a permutation.
 
     The entries must be of type int, so (1.0, 2.0), (1, 'a') and (True,)
-    are refused.
+    are refused, as is a w that is not iterable.
     """
-    t = tuple(w)
-    if not is_permutation(t):
+    t = check_sequence(w, "permutation")
+    if not all(type(v) is int for v in t) or sorted(t) != list(range(1, len(t) + 1)):
         raise ValueError(f"not a permutation of 1..{len(t)}: {t!r}")
     return t

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .permutations import ResourceCapError, check_degree
+from .permutations import ResourceCapError, check_int
 from .words import Word, word_stats
 
 # A draw costs about 75-130 ns * n^3 for n >= 10 (2 CPUs), so TRIALS_CAP
@@ -42,10 +42,10 @@ DEGREE_CAP = 300
 def trial_generator(seed: int, index: int) -> random.Random:
     """Deterministic generator for one trial of one seeded run.
 
-    seed must lie in [-2**63, 2**63) and index in [0, 2**64), else ValueError.
+    seed must be an int in [-2**63, 2**63) and index one in [0, 2**64), else ValueError.
     """
-    if not (-(2**63) <= seed < 2**63 and 0 <= index < 2**64):
-        raise ValueError(f"seed {seed} must fit int64 and index {index} uint64")
+    if not (type(seed) is type(index) is int and -(2**63) <= seed < 2**63 and 0 <= index < 2**64):
+        raise ValueError(f"seed {seed!r} must be an int64 and index {index!r} a uint64")
     key = hashlib.sha256(struct.pack("<qQ", seed, index)).digest()
     return random.Random(int.from_bytes(key, "big"))
 
@@ -136,12 +136,14 @@ def sample_word(n: int, rng: random.Random, session: object = None) -> Word:
     Draws a staircase tableau by the hook walk and maps it to a word by
     Edelman-Greene promotion; cost is O(n^3) with no set-up.  session
     is accepted for compatibility with callers that pass a counting
-    session, and ignored.  Refuses n > DEGREE_CAP with ResourceCapError
-    before any work.
+    session, and ignored.  Refuses n > DEGREE_CAP with ResourceCapError,
+    and an rng that is not a random.Random with ValueError, before any work.
     """
-    check_degree(n, 2)
+    check_int(n, 2)
     if n > DEGREE_CAP:
         raise ResourceCapError(f"degree {n} is above the sampler's cap of {DEGREE_CAP}")
+    if not isinstance(rng, random.Random):
+        raise ValueError(f"rng must be a random.Random, got {rng!r}")
     return _promotion_word(_hook_walk(n, rng))
 
 
@@ -197,21 +199,19 @@ def monte_carlo(
     Bit-identical output for fixed (n, trials, seed): trials are
     indexed, generators are derived per index, and totals are exact
     integers.  The draws are pure Python, so threads would not run them
-    faster; workers (at least 1) and session are accepted for
+    faster; workers (an int of at least 1) and session are accepted for
     compatibility and ignored.  A draw costs O(n^3), so trials above
     TRIALS_CAP * (10 / max(n, 10))^3 (37 at n = 300) are refused with
     ResourceCapError before any draw; the first trial refuses n > DEGREE_CAP
-    the same way, and a seed outside the signed 64-bit range with ValueError,
-    as it does a degree that is not an int of at least 2.
+    the same way, and a seed that is not an int64 with ValueError, as it
+    does a degree below 2, trials or workers below 1, or any not an int.
     """
-    check_degree(n, 2)
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    check_int(n, 2)
+    check_int(trials, name="trials")
     limit = TRIALS_CAP * 10**3 // max(n, 10) ** 3
     if trials > limit:
         raise ResourceCapError(f"{trials} trials at degree {n} exceed the cap of {limit}")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    check_int(workers, name="workers")
     sc = snc = sb = sc2 = snc2 = sb2 = 0
     for index in range(trials):
         stats = word_stats(sample_word(n, trial_generator(seed, index)))

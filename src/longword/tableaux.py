@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
-from .permutations import ResourceCapError, Shape, check_degree
+from .permutations import ResourceCapError, Shape, check_int, check_sequence
 
 # hook_length_count takes 2.1-2.6 s at 79,800 cells (staircase(400)), and at
 # the cap 3.0-4.0 s for staircase(447) (99,681 cells) and 4.3-5.2 s for the
@@ -17,12 +17,10 @@ HOOK_CELLS_CAP = 10**5
 
 
 def check_partition(parts: Sequence[int]) -> Shape:
-    """Return parts as a tuple, dropping trailing zeros; reject non-partitions."""
-    t = tuple(parts)
-    if any(type(p) is not int for p in t):
-        raise ValueError(f"parts must be ints, got {t!r}")
-    if any(a < b for a, b in zip(t, t[1:])) or any(p < 0 for p in t):
-        raise ValueError(f"not a partition: {tuple(parts)!r}")
+    """Return parts as a tuple without trailing zeros; ValueError unless a partition of ints."""
+    t = check_sequence(parts, "shape")
+    if any(type(p) is not int or p < 0 for p in t) or any(a < b for a, b in zip(t, t[1:])):
+        raise ValueError(f"not a partition of ints: {t!r}")
     return t[: len(t) - t.count(0)]  # a partition's zeros all trail
 
 
@@ -34,7 +32,7 @@ def staircase(n: int) -> Shape:
     >>> staircase(1)
     ()
     """
-    check_degree(n)
+    check_int(n)
     return tuple(range(n - 1, 0, -1))
 
 
@@ -50,8 +48,8 @@ def conjugate(shape: Shape) -> Shape:
 def delete_corners(shape: Shape, rows: tuple[int, int]) -> Shape:
     """Remove one corner cell from each of two adjacent rows (1-based).
 
-    Each named row must end in a removable corner of the original shape,
-    i.e. must be strictly longer than the row below it.
+    The rows (r, r + 1) must be ints of the shape, each ending in a removable
+    corner, i.e. strictly longer than the row below it; else ValueError.
 
     >>> delete_corners((3, 2, 1), (1, 2))
     (2, 1, 1)
@@ -59,11 +57,9 @@ def delete_corners(shape: Shape, rows: tuple[int, int]) -> Shape:
     (3, 1)
     """
     parts = check_partition(shape)
-    r1, r2 = rows
+    r1, r2 = (check_int(r, 1, len(parts), "row") for r in check_sequence(rows, "rows"))
     if r2 != r1 + 1:
         raise ValueError(f"rows must be adjacent, got {rows!r}")
-    if not (1 <= r1 and r2 <= len(parts)):
-        raise ValueError(f"rows {rows!r} outside shape of {len(parts)} rows")
     out = list(parts)
     for r in (r1, r2):
         below = parts[r] if r < len(parts) else 0
@@ -130,9 +126,8 @@ def tableau_ratio(n: int, j: int) -> Fraction:
     >>> tableau_ratio(3, 1)
     Fraction(1, 2)
     """
-    check_degree(n, 3)
-    if not 1 <= j <= n - 2:
-        raise ValueError(f"index must lie in [1, {n - 2}], got {j}")
+    check_int(n, 3)
+    check_int(j, 1, n - 2, "index")
     if n * (n - 1) // 2 > HOOK_CELLS_CAP:  # before the staircase is built
         raise ResourceCapError(f"degree {n} is above the cap of {HOOK_CELLS_CAP} cells")
     delta = staircase(n)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import expectations as ex
-from .permutations import is_vexillary, longest_element, shape_of, two_step_lowering
+from .permutations import check_int, is_vexillary, longest_element, shape_of, two_step_lowering
 from .sampling import monte_carlo, sample_word, trial_generator
 from .tableaux import delete_corners, hook_length_count, staircase
 from .walk import _walk_words
@@ -199,7 +199,6 @@ _CHECKS = (
 
 def run_all(max_n: int = 6) -> list[CheckResult]:
     """Run every check clamped to degrees <= max_n; asymptotic checks always run."""
-    if type(max_n) is not int or not MIN_N <= max_n <= MAX_N:
-        raise ValueError(f"max_n must be an int in [{MIN_N}, {MAX_N}], got {max_n!r}")
+    check_int(max_n, MIN_N, MAX_N, "max_n")
     tally = functools.cache(_enumeration_pass)
     return [_run(name, check(max_n, tally)) for name, check in _CHECKS]

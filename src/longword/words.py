@@ -24,8 +24,9 @@ from .permutations import (
     Permutation,
     ResourceCapError,
     _inversion_code,
-    check_degree,
+    check_int,
     check_permutation,
+    check_sequence,
     longest_element,
 )
 from .walk import _walk_blocks
@@ -65,18 +66,22 @@ class NotReducedError(ValueError):
 def evaluate(n: int, letters: Sequence[int]) -> Permutation:
     """Permutation reached by applying the letters to the identity.
 
-    Raises ValueError for a letter that is not an int in [1, n-1] (a
-    float or a bool is refused) and NotReducedError when some step fails
-    to increase the inversion count.
+    Raises ValueError when letters is not a sequence or holds a letter that
+    is not an int in [1, n-1] (a float or a bool is refused), and
+    NotReducedError when some step fails to increase the inversion count.
 
     >>> evaluate(3, (1, 2, 1))
     (3, 2, 1)
     >>> evaluate(4, (1, 3, 2, 1))
     (4, 2, 1, 3)
     """
-    check_degree(n)
+    check_int(n)
+    try:
+        steps = enumerate(letters, start=1)
+    except TypeError:  # not iterable; each letter is checked inline, per step
+        raise ValueError(f"letters must be a sequence, got {letters!r}") from None
     w = list(range(1, n + 1))
-    for k, i in enumerate(letters, start=1):
+    for k, i in steps:
         if type(i) is not int or not 1 <= i <= n - 1:
             raise ValueError(
                 f"letter {i!r} at position {k} is not an int in [1, {n - 1}]"
@@ -108,13 +113,17 @@ class WordStats:
 def word_stats(letters: Sequence[int]) -> WordStats:
     """Count adjacent commuting/noncommuting pairs and braid windows.
 
-    Raises ValueError for a letter that is not an int (a float, a bool or
-    a string is refused).
+    Raises ValueError when letters is not a sequence or holds a letter
+    that is not an int (a float, a bool or a string is refused).
 
     >>> word_stats((1, 2, 1, 3, 2, 1))
     WordStats(commutations=1, noncommuting=4, braids=1, ascending_pairs=1, descending_pairs=3)
     """
-    if not {*map(type, letters)} <= {int}:
+    try:
+        kinds = {*map(type, letters)}
+    except TypeError:  # not iterable; each letter's type is checked below
+        raise ValueError(f"letters must be a sequence, got {letters!r}") from None
+    if not kinds <= {int}:
         k, i = next((k, i) for k, i in enumerate(letters, start=1) if type(i) is not int)
         raise ValueError(f"letter {i!r} at position {k} is not an int")
     comm = nonc = asc = desc = braids = 0
@@ -223,7 +232,7 @@ class CountingSession:
     """
 
     def __init__(self, n: int):
-        check_degree(n)
+        check_int(n)
         if n > DP_CAP:
             raise ResourceCapError(f"degree {n} is above the table's cap of {DP_CAP}")
         self.n = n
@@ -248,8 +257,7 @@ class CountingSession:
     def _code(self, w: Sequence[int]) -> list[int]:
         """Inversion code of w, after checking its degree and filling the table."""
         t = check_permutation(w)
-        if len(t) != self.n:
-            raise ValueError(f"expected degree {self.n}, got {len(t)}")
+        check_int(len(t), self.n, self.n, "degree of w")
         self._fill()
         return _inversion_code(t)
 
@@ -267,14 +275,14 @@ class CountingSession:
 
         Exact: the count of words of the stripped permutation over the
         count of words of w, or 0 when some step fails to shorten.
+        Raises ValueError when prefix is not a sequence of ints in [1, n-1].
 
         >>> CountingSession(4).prefix_probability((4, 3, 2, 1), (1, 2))
         Fraction(3, 16)
         """
-        n = self.n
+        prefix = check_sequence(prefix, "prefix")
         for p in prefix:
-            if type(p) is not int or not 1 <= p <= n - 1:
-                raise ValueError(f"letter {p!r} is not an int in [1, {n - 1}]")
+            check_int(p, 1, self.n - 1, "letter")
         d = self._code(w)
         denom = self._table[_rank(d)]
         for p in prefix:
@@ -292,12 +300,12 @@ def count_words(w: Sequence[int]) -> int:
     >>> count_words((1, 2, 3))
     1
     """
-    return CountingSession(len(tuple(w))).count(w)
+    return CountingSession(len(check_permutation(w))).count(w)
 
 
 def prefix_probability(w: Sequence[int], prefix: Sequence[int]) -> Fraction:
     """Exact probability that a uniform reduced word of w starts with prefix."""
-    return CountingSession(len(tuple(w))).prefix_probability(w, prefix)
+    return CountingSession(len(check_permutation(w))).prefix_probability(w, prefix)
 
 
 def enumerate_words(w: Sequence[int]) -> Iterator[Word]:
@@ -356,7 +364,8 @@ def rotate(n: int, letters: Sequence[int]) -> Word:
     >>> rotate(4, (1, 2, 1, 3, 2, 1))
     (2, 1, 3, 2, 1, 3)
     """
-    word = tuple(letters)
+    check_int(n)
+    word = check_sequence(letters, "letters")
     if len(word) != n * (n - 1) // 2 or evaluate(n, word) != longest_element(n):
         raise ValueError(
             f"{word!r} is not a reduced word of the longest element of degree {n}"

@@ -1,3 +1,4 @@
+import dataclasses
 import doctest
 import hashlib
 import json
@@ -5,6 +6,7 @@ import math
 import re
 import shlex
 import time
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +16,7 @@ import longword.cli
 import longword.expectations
 import longword.verify
 import longword.walk
+import longword.words
 from longword.cli import _CAPS_NOTE, CSV_HEADER, TABLE_ROWS_CAP, main
 from longword.expectations import (
     ASYMPTOTIC_COEFFICIENT,
@@ -399,29 +402,77 @@ def test_verify_detects_tampered_recurrence(capsys, monkeypatch):
     assert any(line.startswith("FAIL") for line in out.splitlines())
 
 
+def _fill_losing_a_word(true_fill):
+    """A table fill that gives the last rank, the longest element, one word too few."""
+
+    def fill(table, lo, k):
+        true_fill(table, lo, k)
+        if len(table) == math.factorial(k):  # the outermost call: the whole table
+            table[-1] -= 1
+
+    return fill
+
+
+def _braids_counted_twice(true_stats):
+    def stats(letters):
+        counted = true_stats(letters)
+        return dataclasses.replace(counted, braids=2 * counted.braids)
+
+    return stats
+
+
 @pytest.mark.parametrize(
-    "route, tampered, check",
+    "module, route, tamper, max_n, check, first_bad",
     [
         (
+            longword.verify,
             "hook_length_count",
-            lambda shape: hook_length_count(shape) + 1,
+            lambda true: lambda shape: true(shape) + 1,
+            "3",
             "word counts match tableau counts (n 3..9)",
+            "n=3",
         ),
         (
+            longword.verify,
             "evaluate",
-            lambda n, letters: tuple(letters),
+            lambda true: lambda n, letters: tuple(letters),
+            "3",
             "per-word complement and rotation (n 3..6)",
+            "n=3",
+        ),
+        (
+            longword.words,
+            "_fill_block",
+            _fill_losing_a_word,
+            "7",
+            "commutation mean by word-count recursion (n 7..9)",
+            "n=7",
+        ),
+        (
+            longword.verify,
+            "word_stats",
+            _braids_counted_twice,
+            "3",
+            "braid mean equals 1 (enumeration 3..6, counts 7..9)",
+            "enum n=3",
         ),
     ],
-    ids=["hook_length_count", "evaluate"],
+    ids=["hook_length_count", "evaluate", "fill_block", "word_stats_braids"],
 )
-def test_verify_names_first_bad_degree(capsys, monkeypatch, route, tampered, check):
-    """Seeded-bug drill: a tampered route fails its check at the first degree."""
-    monkeypatch.setattr(longword.verify, route, tampered)
-    code, out, _ = run_cli(capsys, "verify", "--max-n", "3")
+def test_verify_names_first_bad_degree(
+    capsys, monkeypatch, module, route, tamper, max_n, check, first_bad
+):
+    """Seeded-bug drill: a tampered route fails its check at the first degree.
+
+    The registry of filled tables is emptied for each drill, so no table
+    filled before the patch is shared with it and none it fills outlives it.
+    """
+    monkeypatch.setattr(longword.words, "_FILLED", weakref.WeakValueDictionary())
+    monkeypatch.setattr(module, route, tamper(getattr(module, route)))
+    code, out, _ = run_cli(capsys, "verify", "--max-n", max_n)
     assert code == 1
     line = next(line for line in out.splitlines() if f"  {check}: " in line)
-    assert line.startswith(f"FAIL  {check}: n=3: ")
+    assert line.startswith(f"FAIL  {check}: {first_bad}: ")
 
 
 def test_verify_names_an_enumerated_non_word(capsys, monkeypatch):
