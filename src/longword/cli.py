@@ -20,7 +20,7 @@ from .expectations import (
     expected_noncommuting_float,
     proportions,
 )
-from .permutations import ResourceCapError, longest_element
+from .permutations import ResourceCapError, check_cap, check_int, longest_element
 from .render import float_text, json_object, sample_json
 from .sampling import DEGREE_CAP, TRIALS_CAP, monte_carlo
 from .tableaux import hook_length_count, staircase
@@ -50,15 +50,8 @@ _CAPS_NOTE = (
 )
 
 
-def _usage(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
-
-
 def cmd_count(args: argparse.Namespace) -> int:
-    n = args.n
-    if not 2 <= n <= DP_CAP:
-        return _usage(f"--n must lie in [2, {DP_CAP}], got {n}")
+    n = check_int(args.n, 2, DP_CAP, "--n")  # the library admits n = 1
     by_words = count_words(longest_element(n))
     by_hooks = hook_length_count(staircase(n))
     if by_words != by_hooks:
@@ -72,18 +65,19 @@ def cmd_count(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_METHODS = {"closed": "closed_form", "dp": "dp", "enumerate": "enumeration"}
+# each method's library name and the largest --n the CLI takes for it
+_METHODS = {
+    "closed": ("closed_form", None),
+    "dp": ("dp", DP_CAP),
+    "enumerate": ("enumeration", ENUMERATE_CAP),
+}
 
 
 def cmd_expect(args: argparse.Namespace) -> int:
-    n = args.n
-    if n < 2:
-        return _usage(f"--n must be at least 2, got {n}")
-    if args.method == "enumerate" and n > ENUMERATE_CAP:
-        return _usage(f"--method enumerate requires n <= {ENUMERATE_CAP}, got {n}")
-    if args.method == "dp" and n > DP_CAP:
-        return _usage(f"--method dp requires n <= {DP_CAP}, got {n}")
-    report = expectation_report(n, _METHODS[args.method])
+    method, most = _METHODS[args.method]
+    if most is not None:  # refused as a usage error, not at the library's cap
+        check_int(args.n, 2, most, "--n")
+    report = expectation_report(args.n, method)
     if report.e_commutations is not None:
         print(report.e_commutations)
     print(float_text(report.float_value))
@@ -91,17 +85,11 @@ def cmd_expect(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    if not 2 <= args.n <= DEGREE_CAP:
-        return _usage(f"--n must lie in [2, {DEGREE_CAP}], got {args.n}")
-    if args.trials < 1:
-        return _usage(f"--trials must be at least 1, got {args.trials}")
-    if args.jobs < 1:
-        return _usage(f"--jobs must be at least 1, got {args.jobs}")
-    if not -(2**63) <= args.seed < 2**63:
-        return _usage("--seed must fit in a signed 64-bit integer")
+    check_int(args.n, 2, DEGREE_CAP, "--n")  # a usage error, not the sampler's cap
+    check_int(args.jobs, name="--jobs")
+    summary = monte_carlo(args.n, args.trials, args.seed)
     if args.trials == 1:
         print("note: standard errors are NaN with a single trial", file=sys.stderr)
-    summary = monte_carlo(args.n, args.trials, args.seed)
     print(sample_json(summary))
     return EXIT_OK
 
@@ -158,18 +146,11 @@ def _write_table(rows: Iterable[list[tuple[str, object]]], fmt: str, stream) -> 
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    first, last = getattr(args, "from"), args.to
-    if not 3 <= first <= last:
-        return _usage(f"need 3 <= --from <= --to, got {first}..{last}")
-    if last - first >= TABLE_ROWS_CAP:
-        raise ResourceCapError(
-            f"the table {first}..{last} has {last - first + 1} rows, "
-            f"above the cap of {TABLE_ROWS_CAP}"
-        )
-    if last > FLOAT_CAP:  # rows stream out, so refuse before the first one
-        raise ResourceCapError(
-            f"the table reaches degree {last}, above the floating mean's cap of {FLOAT_CAP}"
-        )
+    # rows stream out, so every refusal comes before the first one
+    first = check_int(getattr(args, "from"), 3, name="--from")
+    last = check_int(args.to, first, name="--to")
+    check_cap(last - first + 1, TABLE_ROWS_CAP, "table row count")
+    check_cap(last, FLOAT_CAP, "--to")
     rows = _table_rows(first, last)
     if args.out is None:
         _write_table(rows, args.format, sys.stdout)
@@ -184,10 +165,10 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_asymptotics(args: argparse.Namespace) -> int:
-    if args.n < 3:
-        return _usage(f"--n must be at least 3, got {args.n}")
+    # the CLI owns this range, as the library's message spells the cap's 309 digits
+    check_int(args.n, 3, name="--n")
     if args.n > ASYMPTOTIC_CAP:
-        return _usage(
+        raise ValueError(
             f"--n is above {ASYMPTOTIC_CAP:.6g}, where the leading-order mean stops being finite"
         )
     comm, nonc, braids = proportions(args.n)
@@ -207,10 +188,6 @@ def cmd_asymptotics(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if not verify.MIN_N <= args.max_n <= verify.MAX_N:
-        return _usage(
-            f"--max-n must lie in [{verify.MIN_N}, {verify.MAX_N}], got {args.max_n}"
-        )
     results = verify.run_all(args.max_n)
     for result in results:
         status = "PASS" if result.passed else "FAIL"
@@ -278,6 +255,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
+    except ValueError as exc:  # an argument refused, by the CLI or by the library
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except ResourceCapError as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .permutations import ResourceCapError, check_int, longest_element
+from .permutations import check_cap, check_int, longest_element
 from .walk import _walk_totals
 from .words import CountingSession
 
@@ -95,8 +95,7 @@ def double_factorial(m: int) -> int:
     1
     """
     check_int(m, -1, name="m")
-    if m > 2 * REFERENCE_CAP + 1:  # 4.5 s at m = 2 * 10^5 + 1 (2 CPUs)
-        raise ResourceCapError(f"{m}!! is above the cap of {2 * REFERENCE_CAP + 1}")
+    check_cap(m, 2 * REFERENCE_CAP + 1, "m")  # 4.5 s at m = 2 * 10^5 + 1 (2 CPUs)
     result = 1
     while m > 1:
         result *= m
@@ -132,11 +131,8 @@ def sigma(n: int, j: int) -> Fraction:
     """
     check_int(n, 3)
     check_int(j, 1, n - 2, "index")
-    if n > REFERENCE_CAP:
-        # the sum over j takes 6-8 s at n = 2000 and 50 s at 4000 (2 CPUs)
-        raise ResourceCapError(
-            f"the reference term of degree {n} is above the cap of {REFERENCE_CAP}"
-        )
+    # the sum over j takes 6-8 s at n = 2000 and 50 s at 4000 (2 CPUs)
+    check_cap(n, REFERENCE_CAP, "reference degree")
     ell = n * (n - 1) // 2
     k = n - j - 1
     return Fraction(8, 3 * ell) * (
@@ -184,11 +180,7 @@ def expected_noncommuting(n: int) -> Fraction:
     >>> expected_noncommuting(4)
     Fraction(15, 4)
     """
-    check_int(n, 2)
-    if n > EXACT_CAP:
-        raise ResourceCapError(
-            f"the exact mean of degree {n} is above the cap of {EXACT_CAP}"
-        )
+    check_cap(check_int(n, 2), EXACT_CAP, "exact mean degree")
     return next(_noncommuting_means(n))
 
 
@@ -244,11 +236,7 @@ def expected_noncommuting_float(n: int) -> float:
     Up to EXACT_CLOSED_CAP it is the exact mean rounded; above, it
     evaluates the asymptotic expansion of the module docstring.
     """
-    check_int(n, 2)
-    if n > FLOAT_CAP:
-        raise ResourceCapError(
-            f"the floating mean of degree {n} is above the cap of {FLOAT_CAP}"
-        )
+    check_cap(check_int(n, 2), FLOAT_CAP, "floating mean degree")
     if n <= EXACT_CLOSED_CAP:
         return float(expected_noncommuting(n))
     return _noncommuting_expansion(n)
@@ -336,10 +324,7 @@ def expectation_report(n: int, method: str = "closed_form") -> ExpectationReport
         pairs = (p for j in range(1, n - 1) for p in ((j, j + 1), (j + 1, j)))
         e_nonc = _window_mean(n, 2, pairs)
     elif method == "enumeration":
-        if n > ENUMERATE_CAP:
-            raise ResourceCapError(
-                f"enumerating the words of degree {n} is above the cap of {ENUMERATE_CAP}"
-            )
+        check_cap(n, ENUMERATE_CAP, "enumeration degree")
         words, total = _walk_totals(longest_element(n))
         e_nonc = Fraction(total, words)
     else:

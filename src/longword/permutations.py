@@ -38,6 +38,13 @@ def check_int(value: int, least: int = 1, most: int | None = None, name: str = "
     return value
 
 
+def check_cap(value: int, cap: int, what: str) -> int:
+    """Return value, or raise ResourceCapError when it is above cap."""
+    if value > cap:
+        raise ResourceCapError(f"{what} {value} is above the cap of {cap}")
+    return value
+
+
 def check_sequence(seq: Iterable, name: str) -> tuple:
     """Return seq as a tuple; raise ValueError naming it when it is not iterable."""
     try:

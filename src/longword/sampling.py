@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .permutations import ResourceCapError, check_int
+from .permutations import check_cap, check_int
 from .words import Word, word_stats
 
 # A draw costs about 75-130 ns * n^3 for n >= 10 (2 CPUs), so TRIALS_CAP
@@ -45,7 +45,8 @@ def trial_generator(seed: int, index: int) -> random.Random:
     seed must be an int in [-2**63, 2**63) and index one in [0, 2**64), else ValueError.
     """
     if not (type(seed) is type(index) is int and -(2**63) <= seed < 2**63 and 0 <= index < 2**64):
-        raise ValueError(f"seed {seed!r} must be an int64 and index {index!r} a uint64")
+        check_int(seed, -(2**63), 2**63 - 1, "seed")  # name the argument at fault
+        check_int(index, 0, 2**64 - 1, "index")
     key = hashlib.sha256(struct.pack("<qQ", seed, index)).digest()
     return random.Random(int.from_bytes(key, "big"))
 
@@ -139,9 +140,7 @@ def sample_word(n: int, rng: random.Random, session: object = None) -> Word:
     session, and ignored.  Refuses n > DEGREE_CAP with ResourceCapError,
     and an rng that is not a random.Random with ValueError, before any work.
     """
-    check_int(n, 2)
-    if n > DEGREE_CAP:
-        raise ResourceCapError(f"degree {n} is above the sampler's cap of {DEGREE_CAP}")
+    check_cap(check_int(n, 2), DEGREE_CAP, "sampler degree")
     if not isinstance(rng, random.Random):
         raise ValueError(f"rng must be a random.Random, got {rng!r}")
     return _promotion_word(_hook_walk(n, rng))
@@ -208,9 +207,7 @@ def monte_carlo(
     """
     check_int(n, 2)
     check_int(trials, name="trials")
-    limit = TRIALS_CAP * 10**3 // max(n, 10) ** 3
-    if trials > limit:
-        raise ResourceCapError(f"{trials} trials at degree {n} exceed the cap of {limit}")
+    check_cap(trials, TRIALS_CAP * 10**3 // max(n, 10) ** 3, f"at degree {n}, trials")
     check_int(workers, name="workers")
     sc = snc = sb = sc2 = snc2 = sb2 = 0
     for index in range(trials):

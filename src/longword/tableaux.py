@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
-from .permutations import ResourceCapError, Shape, check_int, check_sequence
+from .permutations import Shape, check_cap, check_int, check_sequence
 
 # hook_length_count takes 2.1-2.6 s at 79,800 cells (staircase(400)), and at
 # the cap 3.0-4.0 s for staircase(447) (99,681 cells) and 4.3-5.2 s for the
@@ -39,8 +39,7 @@ def staircase(n: int) -> Shape:
 def conjugate(shape: Shape) -> Shape:
     """Column lengths of the diagram; refuses over HOOK_CELLS_CAP cells first."""
     parts = check_partition(shape)
-    if sum(parts) > HOOK_CELLS_CAP:
-        raise ResourceCapError(f"{sum(parts)} cells exceed the cap of {HOOK_CELLS_CAP}")
+    check_cap(sum(parts), HOOK_CELLS_CAP, "cell count")
     ascending = [-p for p in parts]  # column c is as long as the count of parts > c
     return tuple(bisect_left(ascending, -c) for c in range(parts[0] if parts else 0))
 
@@ -57,7 +56,10 @@ def delete_corners(shape: Shape, rows: tuple[int, int]) -> Shape:
     (3, 1)
     """
     parts = check_partition(shape)
-    r1, r2 = (check_int(r, 1, len(parts), "row") for r in check_sequence(rows, "rows"))
+    pair = check_sequence(rows, "rows")
+    if len(pair) != 2:
+        raise ValueError(f"rows must be a pair, got {rows!r}")
+    r1, r2 = (check_int(r, 1, len(parts), "row") for r in pair)
     if r2 != r1 + 1:
         raise ValueError(f"rows must be adjacent, got {rows!r}")
     out = list(parts)
@@ -128,8 +130,8 @@ def tableau_ratio(n: int, j: int) -> Fraction:
     """
     check_int(n, 3)
     check_int(j, 1, n - 2, "index")
-    if n * (n - 1) // 2 > HOOK_CELLS_CAP:  # before the staircase is built
-        raise ResourceCapError(f"degree {n} is above the cap of {HOOK_CELLS_CAP} cells")
+    # before the staircase is built
+    check_cap(n * (n - 1) // 2, HOOK_CELLS_CAP, f"cell count of staircase({n})")
     delta = staircase(n)
     deleted = delete_corners(delta, (j, j + 1))
     return Fraction(hook_length_count(deleted), hook_length_count(delta))

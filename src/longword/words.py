@@ -22,8 +22,9 @@ from typing import Iterator, Sequence
 
 from .permutations import (
     Permutation,
-    ResourceCapError,
+    ResourceCapError,  # noqa: F401  (re-exported: callers import it from here)
     _inversion_code,
+    check_cap,
     check_int,
     check_permutation,
     check_sequence,
@@ -232,9 +233,7 @@ class CountingSession:
     """
 
     def __init__(self, n: int):
-        check_int(n)
-        if n > DP_CAP:
-            raise ResourceCapError(f"degree {n} is above the table's cap of {DP_CAP}")
+        check_cap(check_int(n), DP_CAP, "word-count table degree")
         self.n = n
         self._table: list[int] = []
 
@@ -331,10 +330,8 @@ def enumerate_words(w: Sequence[int]) -> Iterator[Word]:
     lo, hi = moved[0], moved[-1]
     window = tuple(v - lo for v in t[lo : hi + 1])
     total = CountingSession(len(window)).count(window)
-    if total > MAX_ENUMERATED_WORDS:
-        raise ResourceCapError(
-            f"{t!r} has {total} reduced words, above the cap of {MAX_ENUMERATED_WORDS}"
-        )
+    what = f"word count of w (moving positions {lo + 1}..{hi + 1})"
+    check_cap(total, MAX_ENUMERATED_WORDS, what)
 
     def words() -> Iterator[Word]:
         tails: dict[int, tuple[list, list[Word]]] = {}  # id -> (list, shifted words)

@@ -336,6 +336,36 @@ def test_asymptotics_output(capsys):
     assert err.startswith("error: --n is above 1.24752e+308")
 
 
+@pytest.mark.parametrize(
+    "argv, code, cap",
+    [
+        ("count --n 1", 2, None),
+        ("count --n 11", 2, None),
+        ("expect --n 1", 2, None),
+        ("expect --n 7 --method enumerate", 2, None),
+        ("sample --n 301 --trials 5", 2, None),
+        ("sample --n 4 --trials 0", 2, None),
+        ("sample --n 4 --trials 5 --jobs 0", 2, None),
+        (f"sample --n 4 --trials 5 --seed {2**63}", 2, None),
+        ("table --from 5 --to 4", 2, None),
+        ("table --from 3 --to 200000", 3, TABLE_ROWS_CAP),
+        ("asymptotics --n 2", 2, None),
+        ("verify --max-n 11", 2, None),
+        (f"expect --n {FLOAT_CAP + 1}", 3, FLOAT_CAP),
+    ],
+)
+def test_a_refused_option_exits_with_its_code_and_prefix(capsys, argv, code, cap):
+    """A refused argument exits 2 with `error:`; a cap exits 3 and names the cap."""
+    got, out, err = run_cli(capsys, *argv.split())
+    assert (got, out) == (code, "")
+    assert err.count("\n") == 1
+    if cap is None:
+        assert err.startswith("error: ")
+    else:
+        assert err.startswith("resource cap exceeded: ")
+        assert err.endswith(f" is above the cap of {cap}\n")
+
+
 _CHEAP = {
     "count": ["--n", "2"],
     "expect": ["--n", "2"],
@@ -456,8 +486,31 @@ def _braids_counted_twice(true_stats):
             "braid mean equals 1 (enumeration 3..6, counts 7..9)",
             "enum n=3",
         ),
+        (
+            longword.verify,
+            "is_vexillary",
+            lambda true: lambda w: False,
+            "3",
+            "two-step shapes are corner-deleted staircases (n 3..10)",
+            "n=3, j=1",
+        ),
+        (
+            longword.verify,
+            "shape_of",
+            lambda true: lambda w: true(w)[:-1],  # drops the smallest part
+            "3",
+            "two-step shapes are corner-deleted staircases (n 3..10)",
+            "n=3, j=1",
+        ),
     ],
-    ids=["hook_length_count", "evaluate", "fill_block", "word_stats_braids"],
+    ids=[
+        "hook_length_count",
+        "evaluate",
+        "fill_block",
+        "word_stats_braids",
+        "is_vexillary",
+        "shape_of",
+    ],
 )
 def test_verify_names_first_bad_degree(
     capsys, monkeypatch, module, route, tamper, max_n, check, first_bad

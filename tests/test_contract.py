@@ -10,6 +10,14 @@ the one-entry tuples of BAD_ENTRIES.  A value that is not exactly an int
 argument takes one, except by the predicate `is_permutation`, which
 answers False.
 
+Public names outside the namespace (OUTSIDE) keep the same contract: the
+two reference means of `longword.expectations`, `tableaux.check_partition`
+and the `check_*` helpers of `longword.permutations`.  A helper is fed bad
+values only in the argument it checks; its other arguments (bounds, a name,
+a cap) are set by the library's own code.  `check_sequence` returns any
+iterable as a tuple, a string included, and `check_cap` reads a count that
+its caller has already checked as an int, so it takes the ints of BAD only.
+
 Exclusions, named here so that nothing is skipped silently:
 - the record and exception classes (RECORDS_AND_EXCEPTIONS), which
   validate nothing a caller passes to them;
@@ -20,6 +28,7 @@ Exclusions, named here so that nothing is skipped silently:
   one documented exception at that value.
 """
 
+import importlib
 import inspect
 import random
 import time
@@ -101,6 +110,9 @@ SEQUENCES = {
     ("rotate", "letters"),
     ("shape_of", "w"),
     ("word_stats", "letters"),
+    ("tableaux.check_partition", "parts"),
+    ("permutations.check_permutation", "w"),
+    ("permutations.check_sequence", "seq"),
 }
 EXCLUDED = {("monte_carlo", "session"), ("sample_word", "session")}
 BUILDERS = {"identity", "longest_element", "staircase", "evaluate", "two_step_lowering"}
@@ -112,6 +124,23 @@ RECORDS_AND_EXCEPTIONS = {
     "WordStats",
     "NotReducedError",
     "ResourceCapError",
+}
+
+# Valid keyword arguments of public callables outside the namespace, by
+# module; a helper's entry holds only the argument it checks.
+OUTSIDE = {
+    "expectations.expected_braids_by_counts": {"n": 4},
+    "expectations.expected_noncommuting_product_form": {"n": 5},
+    "tableaux.check_partition": {"parts": (3, 2, 1)},
+    "permutations.check_cap": {"value": 3},
+    "permutations.check_int": {"value": 3},
+    "permutations.check_permutation": {"w": (3, 2, 1)},
+    "permutations.check_sequence": {"seq": (1, 2)},
+}
+HELPER_ARGUMENTS = {
+    "permutations.check_cap": {"cap": 5, "what": "count"},
+    "permutations.check_int": {"least": 1, "most": 5, "name": "degree"},
+    "permutations.check_sequence": {"name": "word"},
 }
 
 
@@ -166,6 +195,44 @@ def test_every_input_ends_in_a_result_or_a_refusal(name, arg, value):
     assert time.perf_counter() - started < TIME_BOUND
 
 
+def _outside(name):
+    module, _, function = name.partition(".")
+    return getattr(importlib.import_module(f"longword.{module}"), function)
+
+
+def test_every_check_helper_is_covered():
+    helpers = {
+        f"permutations.{name}" for name in vars(longword.permutations) if name.startswith("check_")
+    }
+    assert helpers <= set(OUTSIDE)
+    for name, valid in OUTSIDE.items():
+        helper = HELPER_ARGUMENTS.get(name, {})
+        assert set(inspect.signature(_outside(name)).parameters) == set(valid) | set(helper), name
+        _outside(name)(**valid, **helper)
+
+
+def _outside_cases():
+    for name, valid in OUTSIDE.items():
+        for arg in valid:
+            values = BAD | (BAD_ENTRIES if (name, arg) in SEQUENCES else {})
+            if name == "permutations.check_cap":
+                values = {label: v for label, v in values.items() if type(v) is int}
+            for label, value in values.items():
+                yield pytest.param(name, arg, value, id=f"{name}-{arg}={label}")
+
+
+@pytest.mark.parametrize("name, arg, value", _outside_cases())
+def test_names_outside_the_namespace_end_in_a_result_or_a_refusal(name, arg, value):
+    started = time.perf_counter()
+    try:
+        _outside(name)(**{**OUTSIDE[name], **HELPER_ARGUMENTS.get(name, {}), arg: value})
+        if type(value) is not int:
+            assert name == "permutations.check_sequence", name
+    except (ValueError, ResourceCapError):
+        pass
+    assert time.perf_counter() - started < TIME_BOUND
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -180,6 +247,11 @@ def test_every_input_ends_in_a_result_or_a_refusal(name, arg, value):
         (lambda: longword.word_stats(None), "letters must be a sequence, got None"),
         (lambda: longword.evaluate(3, 1), "letters must be a sequence, got 1"),
         (lambda: longword.prefix_probability((2, 1), None), "prefix must be a sequence, got None"),
+        (lambda: longword.delete_corners((3, 2, 1), (1,)), "rows must be a pair, got (1,)"),
+        (
+            lambda: longword.delete_corners((3, 2, 1), (1, 2, 3)),
+            "rows must be a pair, got (1, 2, 3)",
+        ),
     ],
 )
 def test_a_refusal_names_the_argument(call, message):
