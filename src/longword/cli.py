@@ -14,6 +14,7 @@ from .expectations import (
     ENUMERATE_CAP,
     EXACT_CLOSED_CAP,
     FLOAT_CAP,
+    _check_asymptotic_degree,
     _noncommuting_means,
     asymptotic_noncommuting,
     expectation_report,
@@ -165,12 +166,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_asymptotics(args: argparse.Namespace) -> int:
-    # the CLI owns this range, as the library's message spells the cap's 309 digits
-    check_int(args.n, 3, name="--n")
-    if args.n > ASYMPTOTIC_CAP:
-        raise ValueError(
-            f"--n is above {ASYMPTOTIC_CAP:.6g}, where the leading-order mean stops being finite"
-        )
+    _check_asymptotic_degree(args.n, "--n")  # the library's check, naming the flag
     comm, nonc, braids = proportions(args.n)
     print(
         json_object(

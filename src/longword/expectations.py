@@ -257,9 +257,19 @@ def expected_commutations_float(n: int) -> float:
     return n * (n - 1) // 2 - 1 - e_nonc
 
 
+def _check_asymptotic_degree(n: int, name: str = "degree") -> int:
+    """Return n, or raise ValueError naming it; the cap is shown to 6 digits, not 309."""
+    check_int(n, 3, name=name)
+    if n > ASYMPTOTIC_CAP:
+        raise ValueError(
+            f"{name} is above {ASYMPTOTIC_CAP:.6g}, where the leading-order mean stops being finite"
+        )
+    return n
+
+
 def asymptotic_noncommuting(n: int) -> float:
     """Leading-order noncommuting mean: 128/(9 pi^2) times n, for 3 <= n <= ASYMPTOTIC_CAP."""
-    check_int(n, 3, ASYMPTOTIC_CAP)
+    _check_asymptotic_degree(n)
     return ASYMPTOTIC_COEFFICIENT * n
 
 
@@ -269,7 +279,7 @@ def proportions(n: int) -> tuple[float, float, float]:
     Returns (commutations, noncommuting, braids) as
     (1, 256/(9 pi^2 n), 2/n^2), for 3 <= n <= ASYMPTOTIC_CAP.
     """
-    check_int(n, 3, ASYMPTOTIC_CAP)
+    _check_asymptotic_degree(n)
     return (1.0, 2 * ASYMPTOTIC_COEFFICIENT / n, 2 / n**2)
 
 

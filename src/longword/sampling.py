@@ -4,14 +4,19 @@ A word is drawn in two steps, with no counting table.  The hook walk of
 Greene, Nijenhuis and Wilf (1979) draws a uniform standard Young
 tableau of the staircase shape (n-1, ..., 1): it picks a uniform cell,
 jumps to a uniform cell of its hook until it lands on a corner, puts
-the largest unused entry there and removes the corner.  The
-Edelman-Greene bijection (1987) then reads a reduced word of the
-longest element off that tableau by promotion: the corner holding the
-largest entry gives the next letter (its row, 1-based), the entry is
-removed, the hole slides back to the top-left cell by jeu de taquin,
-and a new smallest entry fills that cell.  A bijection carries the
-uniform tableau to a uniform word.  Every random integer is drawn
-exactly uniformly by rejection on getrandbits, as randrange does.
+the largest unused entry there and removes the corner; the corner rows
+fix the tableau.  Edelman and Greene (1987) map it to a reduced word of
+the longest element by promotion, and show that their insertion gives
+the same bijection, up to a transpose.  So the word is read by reverse
+insertion: start from the insertion tableau of the longest element,
+whose row r holds r+1, ..., n-1; for each corner row i, largest entry
+first, take the last entry y off row i and bump it up through rows
+i-1, ..., 0, where the largest entry x below y moves up as the next y
+and y takes its place unless y is already in the row.  The y leaving
+row 0 gives the letter n - y: promotion's word, with about n^3/6 row
+searches in place of its n^3/2 slides.  A bijection carries the uniform
+tableau to a uniform word.  Every random integer is drawn exactly
+uniformly by rejection on getrandbits, as randrange does.
 
 Per-trial generators are derived by hashing (seed, trial index) with
 SHA-256 and seeding a Mersenne Twister with the 256-bit digest, so trial
@@ -25,6 +30,7 @@ import hashlib
 import math
 import random
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -32,10 +38,11 @@ from typing import Sequence
 from .permutations import check_cap, check_int
 from .words import Word, word_stats
 
-# A draw costs about 75-130 ns * n^3 for n >= 10 (2 CPUs), so TRIALS_CAP
-# draws at n <= 10, scaled by (10 / n)^3 above, are about two minutes.
+# A trial costs about 45-100 ns * n^3 for n >= 10, the most at n = 10
+# (2 CPUs), so TRIALS_CAP trials at n <= 10, scaled by (10 / n)^3 above,
+# take 1-1.5 minutes at every degree.
 TRIALS_CAP = 10**6
-# One draw takes about 0.1 s at n = 100, 1 s at 200 and 4 s at 300 (2 CPUs).
+# One draw takes about 0.05 s at n = 100, 0.4 s at 200 and 1.3 s at 300 (2 CPUs).
 DEGREE_CAP = 300
 
 
@@ -51,12 +58,12 @@ def trial_generator(seed: int, index: int) -> random.Random:
     return random.Random(int.from_bytes(key, "big"))
 
 
-def _hook_walk(n: int, rng: random.Random) -> list[list[int]]:
-    """Uniform standard Young tableau of shape (n-1, ..., 1), as rows."""
+def _hook_walk(n: int, rng: random.Random) -> list[int]:
+    """Uniform staircase tableau of shape (n-1, ..., 1), as the row of each entry, largest first."""
     getrandbits = rng.getrandbits
-    rows = [[0] * (n - 1 - i) for i in range(n - 1)]
     row_len = [n - 1 - i for i in range(n - 1)]
     col_len = list(row_len)
+    corners = []
     for m in range(n * (n - 1) // 2, 0, -1):
         # a uniform cell of the remaining shape, found by a row scan
         k = m.bit_length()
@@ -82,52 +89,31 @@ def _hook_walk(n: int, rng: random.Random) -> list[list[int]]:
                 j += r + 1
             else:
                 i += r - arm + 1
-        rows[i][j] = m
+        corners.append(i)
         row_len[i] -= 1
         col_len[j] -= 1
-    return rows
+    return corners
 
 
-def _promotion_word(rows: Sequence[Sequence[int]]) -> Word:
-    """Edelman-Greene word of a standard staircase tableau given as rows.
+def _insertion_word(n: int, corners: Sequence[int]) -> Word:
+    """Edelman-Greene word of the staircase tableau given by its corner rows.
 
-    Promotion as in the module docstring.  New entries are smaller than
-    every original one, so the originals leave in decreasing order and
-    tracking their positions replaces a search of the corners.
-
-    Entries are stored shifted up by the tableau's size, leaving the
-    values 1..size free for the new smallest entries and 0 for the
-    sentinels on a padding row above and column to the left; cell
-    (i, j) sits at index (i + 1) * n + j + 1, so the slide needs no
-    bounds checks.
+    Reverse insertion as in the module docstring, on the insertion
+    tableau of the longest element, whose row r holds r+1, ..., n-1.
     """
-    n = len(rows) + 1
-    size = n * (n - 1) // 2
-    grid = [0] * (n * n)
-    pos = [0] * (2 * size + 1)
-    for i, row in enumerate(rows):
-        p = (i + 1) * n + 1
-        for v in row:
-            grid[p] = v + size
-            pos[v + size] = p
-            p += 1
-    origin = n + 1
+    rows = [list(range(r + 1, n)) for r in range(n - 1)]
     letters = []
-    for v in range(2 * size, size, -1):
-        p = pos[v]
-        letters.append(p // n)
-        while p != origin:
-            up = grid[p - n]
-            left = grid[p - 1]
-            if up > left:
-                grid[p] = up
-                pos[up] = p
-                p -= n
-            else:
-                grid[p] = left
-                pos[left] = p
-                p -= 1
-        grid[origin] = v - size
+    for i in corners:
+        y = rows[i].pop()
+        while i:
+            i -= 1
+            row = rows[i]
+            p = bisect_left(row, y)
+            x = row[p - 1]
+            if p == len(row) or row[p] != y:
+                row[p - 1] = y
+            y = x
+        letters.append(n - y)
     return tuple(letters)
 
 
@@ -135,7 +121,7 @@ def sample_word(n: int, rng: random.Random, session: object = None) -> Word:
     """One reduced word of the longest element, exactly uniform.
 
     Draws a staircase tableau by the hook walk and maps it to a word by
-    Edelman-Greene promotion; cost is O(n^3) with no set-up.  session
+    reverse Edelman-Greene insertion; cost is O(n^3) with no set-up.  session
     is accepted for compatibility with callers that pass a counting
     session, and ignored.  Refuses n > DEGREE_CAP with ResourceCapError,
     and an rng that is not a random.Random with ValueError, before any work.
@@ -143,7 +129,7 @@ def sample_word(n: int, rng: random.Random, session: object = None) -> Word:
     check_cap(check_int(n, 2), DEGREE_CAP, "sampler degree")
     if not isinstance(rng, random.Random):
         raise ValueError(f"rng must be a random.Random, got {rng!r}")
-    return _promotion_word(_hook_walk(n, rng))
+    return _insertion_word(n, _hook_walk(n, rng))
 
 
 @dataclass(frozen=True)

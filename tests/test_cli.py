@@ -1,6 +1,7 @@
 import dataclasses
 import doctest
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -27,9 +28,11 @@ from longword.expectations import (
     expected_noncommuting,
     expected_noncommuting_float,
 )
+from longword.permutations import longest_element
 from longword.render import float_text
-from longword.sampling import DEGREE_CAP, TRIALS_CAP
+from longword.sampling import DEGREE_CAP, TRIALS_CAP, sample_word
 from longword.tableaux import hook_length_count
+from longword.words import enumerate_words
 
 
 def run_cli(capsys, *args):
@@ -608,6 +611,29 @@ def test_verify_names_a_sampled_non_word(capsys, monkeypatch):
     assert code == 1 and len(lines) == 9
     check = "FAIL  sampler uniformity and means: "
     assert "(1, 1, 1, 1, 1, 1)" in next(x for x in lines if x.startswith(check))
+
+
+def test_verify_names_a_sampler_with_a_biased_law(capsys, monkeypatch):
+    """Seeded-bug drill: a sampler of valid words with a biased law fails chi-square.
+
+    Even trials return the first word of w0 and odd ones a true draw, as
+    verify draws trial i by the i-th call.  Only the chi-square leg at
+    n = 4 sees the law: the n = 10 legs compare means, so they cannot see
+    a bias that keeps them.
+    """
+    calls = itertools.count()
+
+    def biased(n, rng):
+        if next(calls) % 2:
+            return sample_word(n, rng)
+        return next(iter(enumerate_words(longest_element(n))))
+
+    monkeypatch.setattr(longword.verify, "sample_word", biased)
+    code, out, _ = run_cli(capsys, "verify", "--max-n", "4")
+    lines = out.splitlines()
+    assert code == 1 and len(lines) == 9
+    check = "FAIL  sampler uniformity and means: chi-square(n=4): "
+    assert sum(x.startswith(check) for x in lines) == 1
 
 
 def test_float_text_renders_specials():

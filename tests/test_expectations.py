@@ -330,11 +330,16 @@ def test_asymptotic_cap_is_where_the_floats_stop_being_finite():
     assert all(map(math.isfinite, proportions(ASYMPTOTIC_CAP)))
     # the next float up overflows, so no larger bound keeps the mean finite
     assert math.isinf(ASYMPTOTIC_COEFFICIENT * math.nextafter(ASYMPTOTIC_CAP, math.inf))
+    # the message gives the cap to six digits, not all 309 of them
+    above = r"^degree is above 1\.24752e\+308, where the leading-order mean stops being finite$"
     for n in (ASYMPTOTIC_CAP + 1, 10**400):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=above):
             asymptotic_noncommuting(n)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=above):
             proportions(n)
+    for f in (asymptotic_noncommuting, proportions):
+        with pytest.raises(ValueError, match=r"^degree must be at least 3, got 2$"):
+            f(2)
 
 
 def test_expectation_report_methods_agree():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import time
 
@@ -16,7 +17,7 @@ from longword.sampling import (
     TRIALS_CAP,
     SampleSummary,
     _hook_walk,
-    _promotion_word,
+    _insertion_word,
     monte_carlo,
     sample_word,
     trial_generator,
@@ -202,20 +203,92 @@ def staircase_tableaux(n):
     return found
 
 
+def promotion_word(rows):
+    """Reference Edelman-Greene word of a staircase tableau, by promotion.
+
+    The corner holding the largest original entry gives the next letter
+    (its row, 1-based); the entry is removed, the hole slides to the
+    top-left cell by jeu de taquin and a new smallest entry fills it.
+    Originals are stored shifted up by the size, so new entries stay
+    below them; cell (i, j) sits at (i + 1) * n + j + 1 of a grid whose
+    zero padding row and column stop the slide.
+    """
+    n = len(rows) + 1
+    size = n * (n - 1) // 2
+    grid = [0] * (n * n)
+    pos = [0] * (2 * size + 1)
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            grid[(i + 1) * n + j + 1] = v + size
+            pos[v + size] = (i + 1) * n + j + 1
+    origin = n + 1
+    letters = []
+    for v in range(2 * size, size, -1):
+        p = pos[v]
+        letters.append(p // n)
+        while p != origin:
+            step = n if grid[p - n] > grid[p - 1] else 1
+            grid[p] = grid[p - step]
+            pos[grid[p]] = p
+            p -= step
+        grid[origin] = v - size
+    return tuple(letters)
+
+
+def corner_rows(rows):
+    """The row of each entry of a tableau, largest entry first."""
+    row_of = {v: i for i, row in enumerate(rows) for v in row}
+    return [row_of[m] for m in range(len(row_of), 0, -1)]
+
+
+def tableau_of(n, corners):
+    """The staircase tableau whose entry m ends row corners[size - m]."""
+    rows = [[] for _ in range(n - 1)]
+    for m, i in enumerate(reversed(corners), 1):
+        rows[i].append(m)
+    return rows
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_promotion_word_is_a_bijection_onto_reduced_words(n, words_of_longest):
     tableaux = staircase_tableaux(n)
     assert len(tableaux) == hook_length_count(staircase(n))
-    words = [_promotion_word(rows) for rows in tableaux]
+    words = [_insertion_word(n, corner_rows(rows)) for rows in tableaux]
     assert len(set(words)) == len(words)
     assert set(words) == set(words_of_longest(n))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_insertion_word_equals_promotion_on_every_tableau(n):
+    for rows in staircase_tableaux(n):
+        assert _insertion_word(n, corner_rows(rows)) == promotion_word(rows), rows
+
+
+@pytest.mark.parametrize("n, draws", [*((n, 40) for n in range(6, 13)), (30, 4)])
+def test_insertion_word_equals_promotion_on_seeded_draws(n, draws):
+    for index in range(draws):
+        corners = _hook_walk(n, trial_generator(n, index))
+        assert _insertion_word(n, corners) == promotion_word(tableau_of(n, corners))
+
+
+def test_drawn_words_are_pinned():
+    """Digest of the words drawn for seed n, index i; fixed since the hook walk."""
+    digest = hashlib.sha256()
+    for n, draws in [*((n, 40) for n in range(2, 13)), (30, 10), (100, 2)]:
+        for index in range(draws):
+            digest.update(bytes(sample_word(n, trial_generator(n, index))))
+    assert digest.hexdigest() == (
+        "ed0e24c14daf9a480b373fe3b449ef2362e50e718a6cbad35a0b68ed08bb0377"
+    )
 
 
 def test_hook_walk_draws_standard_staircase_tableaux():
     for n in range(2, 9):
         size = n * (n - 1) // 2
         for index in range(20):
-            rows = _hook_walk(n, trial_generator(n, index))
+            corners = _hook_walk(n, trial_generator(n, index))
+            assert len(corners) == size
+            rows = tableau_of(n, corners)
             assert [len(row) for row in rows] == list(staircase(n))
             assert sorted(v for row in rows for v in row) == list(range(1, size + 1))
             for i, row in enumerate(rows):
