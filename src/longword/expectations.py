@@ -209,9 +209,10 @@ def _window_mean(n: int, m: int, patterns) -> Fraction:
     the law of the first: the mean is ell - m + 1 times the chance that
     the word starts with one of the distinct patterns.  The chances come
     from a CountingSession of degree n: it shares the filled table of a
-    live session of that degree, or fills one that is freed on return
-    unless another session took it up.  The session refuses n > DP_CAP
-    before w0 is built or any pattern is read.
+    live session of that degree, or copies the first n! entries of a
+    live larger table, or fills one; a table it copied or filled is
+    freed on return unless another session took it up.  The session
+    refuses n > DP_CAP before w0 is built or any pattern is read.
     """
     table = CountingSession(n)
     w0 = longest_element(n)
@@ -314,7 +315,8 @@ def expectation_report(n: int, method: str = "closed_form") -> ExpectationReport
     closed_form runs the recurrence (floating path beyond the exact
     cap of 300); dp reads the starting-pair probabilities off the
     whole-group word-count table of degree n, shared with any live
-    CountingSession of that degree or else filled for the call and freed
+    CountingSession of that degree, or else copied from the first n!
+    entries of a live larger table or filled, for the call, and freed
     after it; enumeration averages the noncommuting pairs over every
     word, folded a block of the word walk at a time (a prefix and its
     list of suffixes, never expanded into words), with no word-count

@@ -127,7 +127,8 @@ def left_descents(w: Permutation) -> set[int]:
     >>> left_descents((1, 2, 3))
     set()
     """
-    d = _inversion_code(check_permutation(w))
+    w = check_permutation(w)
+    d = _inversion_code(w)
     return {i for i in range(1, len(w)) if d[i] > d[i + 1]}
 
 

@@ -87,8 +87,8 @@ def hook_grid(shape: Shape) -> HookGrid:
     >>> hook_grid((3, 2, 1)).hooks
     ((5, 3, 1), (3, 1), (1,))
     """
-    cols = conjugate(shape)
     parts = check_partition(shape)
+    cols = conjugate(parts)
     rows = tuple(
         tuple(parts[r] - c + cols[c] - r - 1 for c in range(parts[r]))
         for r in range(len(parts))
@@ -113,7 +113,7 @@ def hook_length_count(shape: Shape) -> int:
         for h in row:
             product *= h
     count, remainder = divmod(factorial(size), product)
-    assert remainder == 0, f"hook product does not divide {size}! for {shape!r}"
+    assert remainder == 0, f"hook product does not divide {size}! for {grid.shape!r}"
     return count
 
 

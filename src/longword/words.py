@@ -34,18 +34,23 @@ from .walk import _walk_blocks
 
 Word = tuple[int, ...]
 
-# The table holds n! entries; 10! filled in 1.52 s with a 193 MiB process
-# peak (one fresh process, 2-CPU Intel Xeon, Python 3.11).
+# The table holds n! entries; 10! filled in 0.97-1.77 s with a 193 MiB
+# process peak (fresh processes, 2-CPU Intel Xeon, Python 3.11, whose speed
+# drifted by about a third between runs).
 DP_CAP = 10
 # Admits 4,993 of the 5,040 permutations of degree 7.  Iterating the largest,
 # (6, 7, 3, 5, 4, 2, 1) at 9,189,180 words, took 3.7-4.6 s (about 0.45 us a
 # word, 19.9 MiB peak; 2 CPUs).
 MAX_ENUMERATED_WORDS = 10_000_000
-# The fill runs the pair kernel on blocks of _TAIL! ranks that share all
-# but the last _TAIL code digits.  Measured at n = 9 (2 CPUs, best of 3):
-# tails of 3, 4, 5 and 6 digits filled in 0.25, 0.13-0.17, 0.11-0.14 and
-# 0.09-0.13 s; 5 and 6 tied at n = 10 (1.3-1.6 s); slice adds all the way
-# down to single ranks took 1.0-1.4 s.  Five keeps the pair list at 240.
+# The fill runs the compiled tail kernel on blocks of _TAIL! ranks that
+# share all but the last _TAIL code digits.  Cold fills in fresh processes,
+# kernel compile included (2 CPUs, 5 runs at n = 9, 2 at n = 10): tails of
+# 4, 5 and 6 digits compile their kernels of 36, 240 and 1,800 pairs in
+# 0.3-0.5, 1.6-3.0 and 13-23 ms, and fill n = 9 in 0.14-0.22, 0.11-0.15
+# and 0.09-0.15 s, and n = 10 in 2.1-2.3, 1.6-1.7 and 1.35-1.46 s.  Six is
+# faster at n = 10, but the first fill in a process pays its compile: n = 7
+# took 0.020-0.022 s with a tail of 6 against 0.003-0.004 s with 5, and
+# n = 8 0.028-0.030 against 0.010-0.016 s.
 _TAIL = 5
 
 
@@ -120,11 +125,8 @@ def word_stats(letters: Sequence[int]) -> WordStats:
     >>> word_stats((1, 2, 1, 3, 2, 1))
     WordStats(commutations=1, noncommuting=4, braids=1, ascending_pairs=1, descending_pairs=3)
     """
-    try:
-        kinds = {*map(type, letters)}
-    except TypeError:  # not iterable; each letter's type is checked below
-        raise ValueError(f"letters must be a sequence, got {letters!r}") from None
-    if not kinds <= {int}:
+    letters = check_sequence(letters, "letters")
+    if not {*map(type, letters)} <= {int}:
         k, i = next((k, i) for k, i in enumerate(letters, start=1) if type(i) is not int)
         raise ValueError(f"letter {i!r} at position {k} is not an int")
     comm = nonc = asc = desc = braids = 0
@@ -173,6 +175,24 @@ def _strip_pairs(k: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
+@functools.cache
+def _tail_kernel(k: int):
+    """The pairs of _strip_pairs(k) compiled to one function of straight-line adds.
+
+    The function takes the k! entries of a block and returns them
+    finished, as a tuple: it unpacks them to locals v0, v1, ..., adds
+    v[s] into v[r] for each pair (r, s) in order, and packs them again.
+    The pairs run in target order and every source is a lower rank, so
+    each source is final before it is read, as in the pair loop.
+    """
+    names = ", ".join(f"v{r}" for r in range(factorial(k)))
+    adds = "".join(f"    v{r} += v{s}\n" for r, s in _strip_pairs(k))
+    source = f"def kernel(v):\n    {names}, = v\n{adds}    return {names},\n"
+    namespace: dict = {}
+    exec(compile(source, f"<tail kernel {k}>", "exec"), namespace)
+    return namespace["kernel"]
+
+
 class _Table(list):
     """A filled word-count table: a list that a weak reference can name."""
 
@@ -193,15 +213,12 @@ def _fill_block(table: list[int], lo: int, k: int) -> None:
     run e[2] = y of (k - 2)! ranks, and stripping it gives (e[1], e[2]) =
     (y, x - 1), in the sub-block y that was finished before; the run takes
     that as one slice add before the recursion enters sub-block x.  A
-    block of at most _TAIL! ranks runs the (rank, source) pairs of
-    _strip_pairs on a local copy.
+    block of at most _TAIL! ranks is finished by _tail_kernel(k), the
+    (rank, source) pairs of _strip_pairs compiled to straight-line adds.
     """
     if k <= _TAIL:
-        size = factorial(k)
-        v = table[lo : lo + size]
-        for r, s in _strip_pairs(k):
-            v[r] += v[s]
-        table[lo : lo + size] = v
+        hi = lo + factorial(k)
+        table[lo:hi] = _tail_kernel(k)(table[lo:hi])
         return
     sub = factorial(k - 1)
     run = sub // (k - 1)
@@ -225,11 +242,16 @@ class CountingSession:
     count(w) = sum of count(s_i w) over left descents i, by one recursion
     over the code digits (_fill_block).  The first query fills it, unless
     a live session of the same degree already holds a filled table: then
-    it shares that one, which nothing writes to after its fill.  A table
-    is freed with the last session that holds it; no cache keeps it
-    beyond that.  A degree that is not an int (a float or a bool) is
-    refused with ValueError, and a session of degree n > DP_CAP refuses
-    to be built, with ResourceCapError.
+    it shares that one, which nothing writes to after its fill.  Else, if
+    a live session of a larger degree holds one, the first n! entries of
+    that table are copied: those ranks have leading code digits 0, so
+    they are the permutations that fix their first values, whose counts
+    are those of degree n.  The copy shares the int objects and holds no
+    reference to the larger table.  A table is freed with the last
+    session that holds it; no cache keeps it beyond that.  A degree that
+    is not an int (a float or a bool) is refused with ValueError, and a
+    session of degree n > DP_CAP refuses to be built, with
+    ResourceCapError.
     """
 
     def __init__(self, n: int):
@@ -243,13 +265,18 @@ class CountingSession:
         return len(self._table)
 
     def _fill(self) -> None:
-        """Fill the table once, or share the live filled table of this degree."""
+        """Share the live table of this degree, else copy or fill one, once."""
         if not self._table:
             table = _FILLED.get(self.n)
             if table is None:
-                table = _Table(repeat(0, factorial(self.n)))
-                table[0] = 1
-                _fill_block(table, 0, self.n)
+                size = factorial(self.n)
+                larger = next((t for m, t in _FILLED.items() if m > self.n), None)
+                if larger is not None:
+                    table = _Table(larger[:size])
+                else:
+                    table = _Table(repeat(0, size))
+                    table[0] = 1
+                    _fill_block(table, 0, self.n)
                 _FILLED[self.n] = table
             self._table = table
 
@@ -299,12 +326,14 @@ def count_words(w: Sequence[int]) -> int:
     >>> count_words((1, 2, 3))
     1
     """
-    return CountingSession(len(check_permutation(w))).count(w)
+    w = check_permutation(w)
+    return CountingSession(len(w)).count(w)
 
 
 def prefix_probability(w: Sequence[int], prefix: Sequence[int]) -> Fraction:
     """Exact probability that a uniform reduced word of w starts with prefix."""
-    return CountingSession(len(check_permutation(w))).prefix_probability(w, prefix)
+    w = check_permutation(w)
+    return CountingSession(len(w)).prefix_probability(w, prefix)
 
 
 def enumerate_words(w: Sequence[int]) -> Iterator[Word]:

@@ -446,6 +446,23 @@ def _fill_losing_a_word(true_fill):
     return fill
 
 
+def _kernel_dropping_its_last_pair(true_kernel):
+    """A tail kernel that skips its last (rank, source) pair: the block's top rank loses a term."""
+
+    def kernel(k):
+        pairs = longword.words._strip_pairs(k)[:-1]
+
+        def run(v):
+            v = list(v)
+            for r, s in pairs:
+                v[r] += v[s]
+            return v
+
+        return run
+
+    return kernel
+
+
 def _braids_counted_twice(true_stats):
     def stats(letters):
         counted = true_stats(letters)
@@ -482,6 +499,14 @@ def _braids_counted_twice(true_stats):
             "n=7",
         ),
         (
+            longword.words,
+            "_tail_kernel",
+            _kernel_dropping_its_last_pair,
+            "3",
+            "word counts match tableau counts (n 3..9)",
+            "n=3",
+        ),
+        (
             longword.verify,
             "word_stats",
             _braids_counted_twice,
@@ -510,6 +535,7 @@ def _braids_counted_twice(true_stats):
         "hook_length_count",
         "evaluate",
         "fill_block",
+        "tail_kernel",
         "word_stats_braids",
         "is_vexillary",
         "shape_of",

@@ -195,6 +195,24 @@ def test_every_input_ends_in_a_result_or_a_refusal(name, arg, value):
     assert time.perf_counter() - started < TIME_BOUND
 
 
+def _sequence_cases():
+    for name, arg in sorted(SEQUENCES):
+        if name in VALID:
+            yield pytest.param(name, arg, id=f"{name}-{arg}")
+
+
+def _result(name, arguments):
+    result = _target(name)(**arguments)
+    return list(result) if isinstance(result, Iterator) else result
+
+
+@pytest.mark.parametrize("name, arg", _sequence_cases())
+def test_a_sequence_argument_is_read_once(name, arg):
+    # a one-shot iterator gives the result of the tuple it yields
+    valid = VALID[name]
+    assert _result(name, {**valid, arg: iter(valid[arg])}) == _result(name, valid)
+
+
 def _outside(name):
     module, _, function = name.partition(".")
     return getattr(importlib.import_module(f"longword.{module}"), function)

@@ -3,6 +3,7 @@ import hashlib
 import random
 import time
 import tracemalloc
+import weakref
 from fractions import Fraction
 from itertools import islice, permutations as iter_permutations, zip_longest
 from math import factorial
@@ -25,6 +26,7 @@ from longword.expectations import expectation_report, expected_braids_by_counts
 from longword.tableaux import hook_length_count, staircase
 from longword.walk import _SPLICE, _walk_totals, _walk_words
 from longword.words import (
+    _TAIL,
     DP_CAP,
     CountingSession,
     NotReducedError,
@@ -35,6 +37,8 @@ from longword.words import (
     prefix_probability,
     rotate,
     word_stats,
+    _strip_pairs,
+    _tail_kernel,
 )
 
 
@@ -309,7 +313,7 @@ def count_via_right_descents(w, memo):
 
 
 def test_left_and_right_recursions_agree():
-    # n = 4, 5 fill by the pair kernel alone; from n = 6 on, _fill_block adds
+    # n = 4, 5 fill by the tail kernel alone; from n = 6 on, _fill_block adds
     # runs as slices above blocks of _TAIL! ranks, one more level per degree
     for n in range(4, 9):
         session = CountingSession(n)
@@ -326,12 +330,66 @@ TABLE_DIGESTS = {
 }
 
 
+def _table_digest(table):
+    return hashlib.sha256(",".join(map(str, table)).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("n", sorted(TABLE_DIGESTS))
 def test_counting_table_is_pinned(n):
     session = CountingSession(n)
     session.count(longest_element(n))
-    text = ",".join(map(str, session._table))
-    assert hashlib.sha256(text.encode()).hexdigest() == TABLE_DIGESTS[n]
+    assert _table_digest(session._table) == TABLE_DIGESTS[n]
+
+
+def _pair_loop(k, v):
+    """The reference tail kernel: the (rank, source) pairs of degree k, run as a loop."""
+    v = list(v)
+    for r, s in _strip_pairs(k):
+        v[r] += v[s]
+    return v
+
+
+@pytest.mark.parametrize("k", range(1, _TAIL + 1))
+def test_tail_kernel_equals_the_pair_loop(k):
+    rng = random.Random(k)
+    for _ in range(20):
+        v = [rng.getrandbits(rng.randint(1, 100)) for _ in range(factorial(k))]
+        assert list(_tail_kernel(k)(v)) == _pair_loop(k, v)
+
+
+def test_a_table_is_the_first_ranks_of_the_next_degree(monkeypatch):
+    # ranks below k! have leading code digits 0: they fix their first values
+    monkeypatch.setattr(longword.words, "_FILLED", weakref.WeakValueDictionary())
+    for k in range(1, 9):
+        fresh = CountingSession(k)
+        fresh.count(identity(k))
+        larger = CountingSession(k + 1)
+        larger.count(identity(k + 1))
+        assert fresh._table == larger._table[: factorial(k)]
+        del fresh, larger
+
+
+def test_a_live_larger_table_serves_a_lower_degree(monkeypatch):
+    monkeypatch.setattr(longword.words, "_FILLED", weakref.WeakValueDictionary())
+    larger = CountingSession(9)
+    larger.count(longest_element(9))
+    fills = []
+    fill_block = longword.words._fill_block
+
+    def counting_fill_block(table, lo, k):
+        fills.append(k)
+        fill_block(table, lo, k)
+
+    monkeypatch.setattr(longword.words, "_fill_block", counting_fill_block)
+    session = CountingSession(7)
+    assert session.count(longest_element(7)) == hook_length_count(staircase(7))
+    assert fills == []
+    assert session.entries == factorial(7)
+    assert _table_digest(session._table) == TABLE_DIGESTS[7]
+    # the copy does not pin the larger table
+    del larger
+    assert longword.words._FILLED.get(9) is None
+    assert longword.words._FILLED.get(7) is session._table
 
 
 def test_entries_count_the_filled_table():
@@ -401,8 +459,7 @@ def test_a_dropped_session_frees_its_table():
     assert longword.words._FILLED.get(n) is None
     session = CountingSession(n)
     session.count(longest_element(n))
-    text = ",".join(map(str, session._table))
-    assert hashlib.sha256(text.encode()).hexdigest() == TABLE_DIGESTS[n]
+    assert _table_digest(session._table) == TABLE_DIGESTS[n]
 
 
 def test_stanley_count_for_every_vexillary_degree_five():
