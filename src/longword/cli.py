@@ -15,10 +15,9 @@ from .expectations import (
     EXACT_CLOSED_CAP,
     FLOAT_CAP,
     _check_asymptotic_degree,
-    _noncommuting_means,
+    _closed_forms,
     asymptotic_noncommuting,
     expectation_report,
-    expected_noncommuting_float,
     proportions,
 )
 from .permutations import ResourceCapError, check_cap, check_int, longest_element
@@ -96,21 +95,12 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _table_rows(first: int, last: int) -> Iterator[list[tuple[str, object]]]:
-    """Yield the rows first..last; one recurrence run gives every exact mean."""
-    means = _noncommuting_means(first)
-    for n in range(first, last + 1):
-        ell = n * (n - 1) // 2
+    """Yield the rows first..last; one run of _closed_forms gives every mean."""
+    for n, (_, ec, nonc_float, ec_float) in zip(range(first, last + 1), _closed_forms(first)):
         word_count = ec_num = ec_den = None
-        if n <= EXACT_CLOSED_CAP:
-            nonc = next(means)
-            ec = ell - 1 - nonc
-            if n <= TABLE_EXACT_CAP:
-                word_count = str(hook_length_count(staircase(n)))
-                ec_num, ec_den = str(ec.numerator), str(ec.denominator)
-            ec_float, nonc_float = float(ec), float(nonc)
-        else:
-            nonc_float = expected_noncommuting_float(n)
-            ec_float = ell - 1 - nonc_float
+        if n <= TABLE_EXACT_CAP:
+            word_count = str(hook_length_count(staircase(n)))
+            ec_num, ec_den = str(ec.numerator), str(ec.denominator)
         yield [
             ("n", n),
             ("word_count", word_count),

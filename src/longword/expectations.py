@@ -31,10 +31,12 @@ E(n) = 8 U(n) / (3 ell 4^(4(n-2))).  With M = n-2 the relation reads
 
 from U(2) = 0 and U(3) = 576, and its division is exact.
 
-The floating mean is the exact mean rounded, up to EXACT_CLOSED_CAP, and
-the asymptotic expansion above it, in O(1).  The singular expansion of F
-at z = 1 (Abramowitz-Stegun 15.3.12) carries ln((1-z)/16), and extracting
-coefficients from F^2 gives, with Lambda = ln(16 n) + Euler's constant,
+The floating means are the exact means rounded, up to EXACT_CLOSED_CAP,
+and from the asymptotic expansion above it, in O(1); _closed_forms is the
+one switch between the two, for the library and the CLI.  The singular
+expansion of F at z = 1 (Abramowitz-Stegun 15.3.12) carries
+ln((1-z)/16), and extracting coefficients from F^2 gives, with
+Lambda = ln(16 n) + Euler's constant,
 
     pi^2 E(n) = 128 n/9 - 64/9 + (88/3 - 16 Lambda)/n
                 + (68/3 - 8 Lambda)/n^2 + (163/8 - 13 Lambda/2)/n^3
@@ -51,6 +53,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import factorial
 
 from .permutations import check_cap, check_int, longest_element
@@ -65,7 +68,7 @@ EXACT_CAP = 10**4
 # U(2) and U(3), the two totals that start the recurrence
 _U_START = (0, 576)
 REFERENCE_CAP = 2000
-# Above EXACT_CLOSED_CAP the floating mean costs about 1 us at any degree, so
+# Above EXACT_CLOSED_CAP the floating mean costs about 2 us at any degree, so
 # this cap bounds no time.  It keeps ell - 1 below 2^53 (which n passes near
 # 1.34e8), so the floating commutation mean ell - 1 - E(n) starts from an
 # exact float; `expect` and `table` refuse degrees above it.
@@ -208,11 +211,9 @@ def _window_mean(n: int, m: int, patterns) -> Fraction:
     letters 2..ell one place left, so each of the ell - m + 1 windows has
     the law of the first: the mean is ell - m + 1 times the chance that
     the word starts with one of the distinct patterns.  The chances come
-    from a CountingSession of degree n: it shares the filled table of a
-    live session of that degree, or copies the first n! entries of a
-    live larger table, or fills one; a table it copied or filled is
-    freed on return unless another session took it up.  The session
-    refuses n > DP_CAP before w0 is built or any pattern is read.
+    from a CountingSession of degree n, whose table is shared, copied or
+    filled as that class states.  The session refuses n > DP_CAP before
+    w0 is built or any pattern is read.
     """
     table = CountingSession(n)
     w0 = longest_element(n)
@@ -231,18 +232,6 @@ def expected_braids_by_counts(n: int) -> Fraction:
     return _window_mean(n, 3, braids)
 
 
-def expected_noncommuting_float(n: int) -> float:
-    """Floating noncommuting mean, for 2 <= n <= FLOAT_CAP.
-
-    Up to EXACT_CLOSED_CAP it is the exact mean rounded; above, it
-    evaluates the asymptotic expansion of the module docstring.
-    """
-    check_cap(check_int(n, 2), FLOAT_CAP, "floating mean degree")
-    if n <= EXACT_CLOSED_CAP:
-        return float(expected_noncommuting(n))
-    return _noncommuting_expansion(n)
-
-
 def _noncommuting_expansion(n: int) -> float:
     """The module docstring's expansion of the noncommuting mean, in floats."""
     lam = math.log(16 * n) + 0.5772156649015329  # Euler's constant
@@ -252,10 +241,35 @@ def _noncommuting_expansion(n: int) -> float:
     return ASYMPTOTIC_COEFFICIENT * (n - 0.5) + tail / math.pi**2
 
 
+def _closed_forms(n: int):
+    """Yield (E, ell - 1 - E, both as floats) for the degrees n, n + 1, ... without end.
+
+    The one exact/float switch: up to EXACT_CLOSED_CAP, one run of
+    _noncommuting_means and its means rounded; above it, no exact means,
+    and the floats are the expansion and ell - 1 minus it.
+    """
+    means = _noncommuting_means(n)
+    for m in count(n):
+        ell_1 = m * (m - 1) // 2 - 1
+        if m > EXACT_CLOSED_CAP:
+            e = _noncommuting_expansion(m)
+            yield None, None, e, ell_1 - e
+        else:
+            e = next(means)
+            c = ell_1 - e
+            yield e, c, float(e), float(c)
+
+
+def expected_noncommuting_float(n: int) -> float:
+    """Floating noncommuting mean, for 2 <= n <= FLOAT_CAP, by _closed_forms."""
+    check_cap(check_int(n, 2), FLOAT_CAP, "floating mean degree")
+    return next(_closed_forms(n))[2]
+
+
 def expected_commutations_float(n: int) -> float:
-    """Floating commutation mean: ell - 1 minus the noncommuting mean, n <= FLOAT_CAP."""
-    e_nonc = expected_noncommuting_float(n)  # checks n before ell is formed
-    return n * (n - 1) // 2 - 1 - e_nonc
+    """Floating commutation mean, for 2 <= n <= FLOAT_CAP, by _closed_forms."""
+    check_cap(check_int(n, 2), FLOAT_CAP, "floating mean degree")
+    return next(_closed_forms(n))[3]
 
 
 def _check_asymptotic_degree(n: int, name: str = "degree") -> int:
@@ -312,27 +326,23 @@ class ExpectationReport:
 def expectation_report(n: int, method: str = "closed_form") -> ExpectationReport:
     """Compute the commutation expectation by the requested method.
 
-    closed_form runs the recurrence (floating path beyond the exact
-    cap of 300); dp reads the starting-pair probabilities off the
-    whole-group word-count table of degree n, shared with any live
-    CountingSession of that degree, or else copied from the first n!
-    entries of a live larger table or filled, for the call, and freed
-    after it; enumeration averages the noncommuting pairs over every
-    word, folded a block of the word walk at a time (a prefix and its
-    list of suffixes, never expanded into words), with no word-count
-    table.  Enumeration refuses n > ENUMERATE_CAP and dp n > DP_CAP,
-    with ResourceCapError, before any work.  All methods agree exactly
+    closed_form takes the first item of _closed_forms (no exact fields
+    above EXACT_CLOSED_CAP); dp reads the starting-pair probabilities
+    off the whole-group word-count table of degree n, shared, copied or
+    filled as CountingSession states; enumeration averages the
+    noncommuting pairs over every word, folded a block of the word walk
+    at a time (a prefix and its list of suffixes, never expanded into
+    words), with no word-count table.  closed_form refuses n > FLOAT_CAP,
+    enumeration n > ENUMERATE_CAP and dp n > DP_CAP, with
+    ResourceCapError, before any work.  All methods agree exactly
     wherever more than one applies.
     """
     check_int(n, 2)
-    ell = n * (n - 1) // 2
     if method == "closed_form":
-        if n > EXACT_CLOSED_CAP:
-            return ExpectationReport(
-                n, None, None, method, expected_commutations_float(n)
-            )
-        e_nonc = expected_noncommuting(n)
-    elif method == "dp":
+        check_cap(n, FLOAT_CAP, "floating mean degree")
+        e_nonc, e_comm, _, e_float = next(_closed_forms(n))
+        return ExpectationReport(n, e_comm, e_nonc, method, e_float)
+    if method == "dp":
         pairs = (p for j in range(1, n - 1) for p in ((j, j + 1), (j + 1, j)))
         e_nonc = _window_mean(n, 2, pairs)
     elif method == "enumeration":
@@ -341,5 +351,5 @@ def expectation_report(n: int, method: str = "closed_form") -> ExpectationReport
         e_nonc = Fraction(total, words)
     else:
         raise ValueError(f"unknown method {method!r}")
-    e_comm = Fraction(ell - 1) - e_nonc
+    e_comm = Fraction(n * (n - 1) // 2 - 1) - e_nonc
     return ExpectationReport(n, e_comm, e_nonc, method, float(e_comm))

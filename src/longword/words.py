@@ -255,7 +255,7 @@ class CountingSession:
     """
 
     def __init__(self, n: int):
-        check_cap(check_int(n), DP_CAP, "word-count table degree")
+        check_cap(check_int(n, 0), DP_CAP, "word-count table degree")
         self.n = n
         self._table: list[int] = []
 

@@ -435,6 +435,36 @@ def test_verify_detects_tampered_recurrence(capsys, monkeypatch):
     assert any(line.startswith("FAIL") for line in out.splitlines())
 
 
+def test_verify_misses_a_wrong_expansion_coefficient(capsys, monkeypatch):
+    """Seeded-bug drill: an n^-1 coefficient of 98/3 for 88/3, which verify cannot see.
+
+    The bug adds 10/(3 pi^2 n) to the float mean above EXACT_CLOSED_CAP,
+    1.1e-3 at n = 301.  c08 and c09 read the float mean above the cap only
+    at n = 800, and their detail lines do not move.  What catches the bug
+    is test_float_mean_within_an_ulp_above_exact_closed_cap in
+    tests/test_expectations.py, and the CI step "Float means equal the
+    exact means rounded on 2..300, and lie within 1 ulp of them on 301..1200".
+    """
+    checks = ("noncommuting mean grows linearly (n 100..800)", "per-length proportions at n=800")
+
+    def run_verify():
+        code, out, _ = run_cli(capsys, "verify", "--max-n", "3")
+        return code, [x for x in out.splitlines() if any(f"  {c}: " in x for c in checks)]
+
+    code, lines = run_verify()
+    assert code == 0 and len(lines) == 2
+    true_expansion = longword.expectations._noncommuting_expansion
+    monkeypatch.setattr(
+        longword.expectations,
+        "_noncommuting_expansion",
+        lambda n: true_expansion(n) + 10 / (3 * math.pi**2 * n),
+    )
+    assert run_verify() == (0, lines)
+    rounded = float(longword.expectations.expected_noncommuting(301))
+    gap = abs(longword.expectations.expected_noncommuting_float(301) - rounded)
+    assert gap > math.ulp(rounded)
+
+
 def _fill_losing_a_word(true_fill):
     """A table fill that gives the last rank, the longest element, one word too few."""
 

@@ -238,6 +238,19 @@ def test_count_words_examples():
     assert count_words(longest_element(5)) == 768
 
 
+def test_the_empty_permutation_has_one_empty_word(monkeypatch):
+    # () is a permutation of degree 0, as is_permutation and length agree
+    monkeypatch.setattr(longword.words, "_FILLED", weakref.WeakValueDictionary())
+    assert count_words(()) == 1  # a fresh fill of the one-entry table
+    assert list(enumerate_words(())) == [()]
+    assert prefix_probability((), ()) == Fraction(1)
+    larger = CountingSession(3)
+    larger.count(longest_element(3))
+    session = CountingSession(0)  # copies the first 0! ranks of the live one
+    assert session.count(()) == 1 and session._table == [1]
+    del larger
+
+
 def test_count_words_validates_input():
     with pytest.raises(ValueError):
         count_words((1, 1, 2))
