@@ -58,7 +58,7 @@ from math import factorial
 
 from .permutations import check_cap, check_int, longest_element
 from .walk import _walk_totals
-from .words import CountingSession
+from .words import CountingSession, word_stats
 
 EXACT_CLOSED_CAP = 300
 # The recurrence of expected_noncommuting(10^4) took 0.36-0.45 s in six
@@ -204,21 +204,20 @@ def expected_braids() -> Fraction:
     return Fraction(1)
 
 
-def _window_mean(n: int, m: int, patterns) -> Fraction:
-    """Mean count of the m-letter windows of a uniform word of w0 that are patterns.
+def _window_mean(n: int, m: int, stat: str) -> Fraction:
+    """Mean count of the m-letter windows of a uniform word of w0 that score stat.
 
     Rotation (words.rotate) is a bijection on the words of w0 that moves
     letters 2..ell one place left, so each of the ell - m + 1 windows has
-    the law of the first: the mean is ell - m + 1 times the chance that
-    the word starts with one of the distinct patterns.  The chances come
-    from a CountingSession of degree n, whose table is shared, copied or
-    filled as that class states.  The session refuses n > DP_CAP before
-    w0 is built or any pattern is read.
+    the law of the first.  One walk over w0's m-letter prefixes, in a
+    CountingSession of degree n, weighs each prefix's word_stats field stat
+    by its word count, so what a window scores is coded only in word_stats.
+    The session refuses n > DP_CAP before w0 is built.
     """
-    table = CountingSession(n)
-    w0 = longest_element(n)
-    start = sum((table.prefix_probability(w0, p) for p in patterns), Fraction(0))
-    return (n * (n - 1) // 2 - m + 1) * start
+    session, w0 = CountingSession(n), longest_element(n)
+    prefixes = session._prefix_counts(session._code(w0), m)
+    hits = sum(c * getattr(word_stats(v), stat) for v, c in prefixes)
+    return Fraction((n * (n - 1) // 2 - m + 1) * hits, session.count(w0))
 
 
 def expected_braids_by_counts(n: int) -> Fraction:
@@ -228,8 +227,7 @@ def expected_braids_by_counts(n: int) -> Fraction:
     Fraction(1, 1)
     """
     check_int(n, 2)
-    braids = (b for j in range(1, n - 1) for b in ((j, j + 1, j), (j + 1, j, j + 1)))
-    return _window_mean(n, 3, braids)
+    return _window_mean(n, 3, "braids")
 
 
 def _noncommuting_expansion(n: int) -> float:
@@ -327,9 +325,9 @@ def expectation_report(n: int, method: str = "closed_form") -> ExpectationReport
     """Compute the commutation expectation by the requested method.
 
     closed_form takes the first item of _closed_forms (no exact fields
-    above EXACT_CLOSED_CAP); dp reads the starting-pair probabilities
-    off the whole-group word-count table of degree n, shared, copied or
-    filled as CountingSession states; enumeration averages the
+    above EXACT_CLOSED_CAP); dp is _window_mean's walk over w0's 2-letter
+    prefixes in the whole-group word-count table of degree n, shared,
+    copied or filled as CountingSession states; enumeration averages the
     noncommuting pairs over every word, folded a block of the word walk
     at a time (a prefix and its list of suffixes, never expanded into
     words), with no word-count table.  closed_form refuses n > FLOAT_CAP,
@@ -343,8 +341,7 @@ def expectation_report(n: int, method: str = "closed_form") -> ExpectationReport
         e_nonc, e_comm, _, e_float = next(_closed_forms(n))
         return ExpectationReport(n, e_comm, e_nonc, method, e_float)
     if method == "dp":
-        pairs = (p for j in range(1, n - 1) for p in ((j, j + 1), (j + 1, j)))
-        e_nonc = _window_mean(n, 2, pairs)
+        e_nonc = _window_mean(n, 2, "noncommuting")
     elif method == "enumeration":
         check_cap(n, ENUMERATE_CAP, "enumeration degree")
         words, total = _walk_totals(longest_element(n))

@@ -248,16 +248,17 @@ class CountingSession:
     they are the permutations that fix their first values, whose counts
     are those of degree n.  The copy shares the int objects and holds no
     reference to the larger table.  A table is freed with the last
-    session that holds it; no cache keeps it beyond that.  A degree that
-    is not an int (a float or a bool) is refused with ValueError, and a
-    session of degree n > DP_CAP refuses to be built, with
-    ResourceCapError.
+    session that holds it; no cache keeps it beyond that.  The last w a
+    session checked is kept with its inversion code, which a repeated w
+    reuses.  A degree that is not an int (a float or a bool) is refused
+    with ValueError, and one above DP_CAP with ResourceCapError.
     """
 
     def __init__(self, n: int):
         check_cap(check_int(n, 0), DP_CAP, "word-count table degree")
         self.n = n
         self._table: list[int] = []
+        self._checked: tuple[Permutation | None, list[int]] = (None, [])  # (w, its code)
 
     @property
     def entries(self) -> int:
@@ -281,11 +282,28 @@ class CountingSession:
             self._table = table
 
     def _code(self, w: Sequence[int]) -> list[int]:
-        """Inversion code of w, after checking its degree and filling the table."""
-        t = check_permutation(w)
-        check_int(len(t), self.n, self.n, "degree of w")
-        self._fill()
-        return _inversion_code(t)
+        """A copy of w's inversion code; checks w, unless it is the last w, and fills the table."""
+        t = check_sequence(w, "permutation")
+        if t != self._checked[0] or not {*map(type, t)} <= {int}:
+            check_int(len(check_permutation(t)), self.n, self.n, "degree of w")
+            self._fill()
+            self._checked = t, _inversion_code(t)
+        return self._checked[1].copy()
+
+    def _prefix_counts(self, d: list[int], k: int, head: Word = ()) -> Iterator[tuple[Word, int]]:
+        """Yield (prefix, table count of the code left) for every reduced k-letter prefix of code d.
+
+        Depth first, in lexicographic order: each letter is stripped on d in place and
+        restored after its subtree, as walk._suffixes does; _rank is read once per prefix.
+        """
+        if len(head) == k:
+            yield head, self._table[_rank(d)]
+            return
+        for i in range(1, self.n):
+            if d[i] > d[i + 1]:
+                d[i], d[i + 1] = d[i + 1], d[i] - 1
+                yield from self._prefix_counts(d, k, (*head, i))
+                d[i], d[i + 1] = d[i + 1] + 1, d[i]
 
     def count(self, w: Sequence[int]) -> int:
         """Exact number of reduced words of w.

@@ -493,6 +493,21 @@ def _kernel_dropping_its_last_pair(true_kernel):
     return kernel
 
 
+def _walk_skipping_last_descent(true_walk):
+    """A prefix walk that never strips the last left descent of the code it stands on."""
+
+    def walk(self, d, k, head=()):
+        if len(head) == k:
+            yield head, self._table[longword.words._rank(d)]
+            return
+        for i in [i for i in range(1, self.n) if d[i] > d[i + 1]][:-1]:
+            d[i], d[i + 1] = d[i + 1], d[i] - 1
+            yield from walk(self, d, k, (*head, i))
+            d[i], d[i + 1] = d[i + 1] + 1, d[i]
+
+    return walk
+
+
 def _braids_counted_twice(true_stats):
     def stats(letters):
         counted = true_stats(letters)
@@ -524,6 +539,14 @@ def _braids_counted_twice(true_stats):
             longword.words,
             "_fill_block",
             _fill_losing_a_word,
+            "7",
+            "commutation mean by word-count recursion (n 7..9)",
+            "n=7",
+        ),
+        (
+            longword.words.CountingSession,
+            "_prefix_counts",
+            _walk_skipping_last_descent,
             "7",
             "commutation mean by word-count recursion (n 7..9)",
             "n=7",
@@ -565,6 +588,7 @@ def _braids_counted_twice(true_stats):
         "hook_length_count",
         "evaluate",
         "fill_block",
+        "prefix_walk",
         "tail_kernel",
         "word_stats_braids",
         "is_vexillary",
@@ -585,6 +609,52 @@ def test_verify_names_first_bad_degree(
     assert code == 1
     line = next(line for line in out.splitlines() if f"  {check}: " in line)
     assert line.startswith(f"FAIL  {check}: {first_bad}: ")
+
+
+@pytest.mark.parametrize(
+    "name, tamper, check, first_bad",
+    [
+        (
+            "ASYMPTOTIC_COEFFICIENT",
+            lambda true: 0.9 * true,
+            "noncommuting mean grows linearly (n 100..800)",
+            "distances: ",
+        ),
+        (
+            "proportions",
+            lambda true: lambda n: (*true(n)[:2], 3 / n**2),
+            "per-length proportions at n=800",
+            "braid share: off by 33.249%, ",
+        ),
+    ],
+    ids=["coefficient_low", "braid_share"],
+)
+def test_verify_names_a_wrong_leading_order(capsys, monkeypatch, name, tamper, check, first_bad):
+    """Seeded-bug drill: a leading coefficient 10% low fails c08, a braid share of 3/n^2 c09."""
+    monkeypatch.setattr(longword.expectations, name, tamper(getattr(longword.expectations, name)))
+    code, out, _ = run_cli(capsys, "verify", "--max-n", "3")
+    assert code == 1
+    line = next(line for line in out.splitlines() if f"  {check}: " in line)
+    assert line.startswith(f"FAIL  {check}: {first_bad}")
+
+
+def test_verify_misses_a_high_leading_coefficient(capsys, monkeypatch):
+    """Seeded-bug drill: an ASYMPTOTIC_COEFFICIENT 10% high, which verify cannot see.
+
+    The expansion above EXACT_CLOSED_CAP and proportions both scale with
+    the coefficient, so c08 and c09 compare the bug with itself at n = 400
+    and 800; the exact means at n = 100 and 200 move 15% off it, but their
+    distances still decrease.  What catches the bug is
+    test_float_mean_within_an_ulp_above_exact_closed_cap in
+    tests/test_expectations.py, as for a wrong expansion coefficient.
+    """
+    monkeypatch.setattr(longword.expectations, "ASYMPTOTIC_COEFFICIENT", 1.1 * ASYMPTOTIC_COEFFICIENT)
+    code, out, _ = run_cli(capsys, "verify", "--max-n", "3")
+    assert code == 0
+    assert all(line.startswith("PASS  ") for line in out.splitlines())
+    rounded = float(longword.expectations.expected_noncommuting(301))
+    gap = abs(longword.expectations.expected_noncommuting_float(301) - rounded)
+    assert gap > math.ulp(rounded)
 
 
 def test_verify_names_an_enumerated_non_word(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 import time
 
 import pytest
@@ -23,7 +24,7 @@ from longword.sampling import (
     trial_generator,
 )
 from longword.tableaux import hook_length_count, staircase
-from longword.words import ResourceCapError, evaluate, word_stats
+from longword.words import CountingSession, ResourceCapError, evaluate, word_stats
 
 
 def test_trial_generator_is_deterministic():
@@ -179,6 +180,73 @@ def test_chi_square_threshold_matches_distribution_quantile():
     from longword.verify import CHI2_15_Q999
 
     assert CHI2_15_Q999 == pytest.approx(stats.chi2.ppf(0.999, 15), abs=1e-9)
+
+
+# 99.9% point of the chi-square distribution with 519 degrees of freedom,
+# the law of the 520 reduced 3-letter prefixes of w0(10)
+CHI2_519_Q999 = 624.2850070777649
+PREFIX_GATE_DRAWS = 20_000
+PREFIX_GATE_SEED = 1510
+
+
+def test_prefix_gate_threshold_matches_distribution_quantile():
+    stats = pytest.importorskip("scipy.stats")
+    assert CHI2_519_Q999 == pytest.approx(stats.chi2.ppf(0.999, 519), abs=1e-9)
+
+
+@pytest.fixture(scope="module")
+def prefix_law_10():
+    """The word count of each reduced 3-letter prefix of w0(10).
+
+    Read from the word-count table (0.9 s to fill; freed with the session,
+    which the fixture does not keep), so the gate pits the table against
+    the sampler, two independent routes.
+    """
+    session = CountingSession(10)
+    w0 = longest_element(10)
+    law = dict(session._prefix_counts(session._code(w0), 3))
+    assert len(law) == 520 and sum(law.values()) == session.count(w0)
+    return law
+
+
+def _prefix_chi_square(law, draw):
+    """Chi-square of the first three letters of PREFIX_GATE_DRAWS seeded draws against law.
+
+    Every bin expects at least 12.5 draws, so none is pooled.
+    """
+    rng = random.Random(PREFIX_GATE_SEED)
+    observed = dict.fromkeys(law, 0)
+    for _ in range(PREFIX_GATE_DRAWS):
+        observed[draw(10, rng)[:3]] += 1
+    total = sum(law.values())
+    expected = {v: PREFIX_GATE_DRAWS * c / total for v, c in law.items()}
+    return sum((observed[v] - e) ** 2 / e for v, e in expected.items())
+
+
+def test_sampled_prefixes_follow_the_table_law(prefix_law_10):
+    """Seeded gate: a sampler that keeps the means but not the word law fails here.
+
+    About 1.2 s on 2 CPUs, with the fixture's 0.9 s table fill on top.
+    """
+    assert _prefix_chi_square(prefix_law_10, sample_word) < CHI2_519_Q999
+
+
+def test_prefix_gate_fails_a_sampler_with_a_biased_law(prefix_law_10):
+    """Seeded-bug drill: even draws give the first word of w0(10), odd ones a true draw.
+
+    That is the biased sampler of the verify drill at n = 4, whose n = 10
+    legs compare means only.  w0(10) has too many words for
+    enumerate_words, so its lexicographically first word, the runs
+    (k, k - 1, ..., 1) for k = 1..9, is built directly.
+    """
+    first = tuple(i for k in range(1, 10) for i in range(k, 0, -1))
+    assert evaluate(10, first) == longest_element(10) and first[:3] == min(prefix_law_10)
+    calls = iter(range(PREFIX_GATE_DRAWS))
+
+    def biased(n, rng):
+        return sample_word(n, rng) if next(calls) % 2 else first
+
+    assert _prefix_chi_square(prefix_law_10, biased) >= CHI2_519_Q999
 
 
 def staircase_tableaux(n):

@@ -424,17 +424,16 @@ def test_live_sessions_of_one_degree_share_the_filled_table(monkeypatch):
         fill_block(table, lo, k)
 
     read = []
-    prefix_probability = CountingSession.prefix_probability
+    prefix_counts = CountingSession._prefix_counts
 
-    def recording_prefix_probability(self, w, prefix):
-        result = prefix_probability(self, w, prefix)
-        read.append(self._table)
-        return result
+    def recording_prefix_counts(self, d, k, head=()):
+        read.append(self._table)  # the code d is checked, so the table is filled
+        return prefix_counts(self, d, k, head)
 
     held = CountingSession(n)
     held.count(longest_element(n))
     monkeypatch.setattr(longword.words, "_fill_block", counting_fill_block)
-    monkeypatch.setattr(CountingSession, "prefix_probability", recording_prefix_probability)
+    monkeypatch.setattr(CountingSession, "_prefix_counts", recording_prefix_counts)
     second = CountingSession(n)
     assert second.count(longest_element(n)) == hook_length_count(staircase(n))
     assert second._table is held._table
@@ -447,7 +446,8 @@ def test_live_sessions_of_one_degree_share_the_filled_table(monkeypatch):
 
 def test_a_dropped_session_frees_its_table():
     # No reference cycle may hold the table until the cyclic collector runs,
-    # and a table shared by two sessions lives until both are dropped.
+    # and a table shared by two sessions lives until both are dropped; nor
+    # may the word-count means' prefix walk keep the table of its session.
     n = 8
     collecting = gc.isenabled()
     gc.disable()
@@ -463,16 +463,94 @@ def test_a_dropped_session_frees_its_table():
         kept, _ = tracemalloc.get_traced_memory()
         del second
         left, _ = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert longword.words._FILLED.get(n) is None
+        expectation_report(n, "dp")
+        expected_braids_by_counts(n)
+        freed_after_means = longword.words._FILLED.get(n) is None
     finally:
         tracemalloc.stop()
         if collecting:
             gc.enable()
     assert kept > filled * 9 / 10
     assert left < filled / 10
-    assert longword.words._FILLED.get(n) is None
+    assert freed_after_means
     session = CountingSession(n)
     session.count(longest_element(n))
     assert _table_digest(session._table) == TABLE_DIGESTS[n]
+
+
+def _prefix_walk(session, w, k):
+    return list(session._prefix_counts(session._code(w), k))
+
+
+def test_prefix_walk_against_enumeration_and_prefix_probability():
+    # every k at n <= 5, over every permutation; from k = length + 1 on there is no prefix
+    for n in range(1, 6):
+        session = CountingSession(n)
+        for w in iter_permutations(range(1, n + 1)):
+            words = list(enumerate_words(w))
+            for k in range(length(w) + 2):
+                walked = _prefix_walk(session, w, k)
+                heads = {}
+                for word in words:
+                    if len(word) >= k:
+                        heads[word[:k]] = heads.get(word[:k], 0) + 1
+                assert walked == sorted(heads.items()), (w, k)
+    # k <= 4 on w0 at n <= 8, by the prefix probabilities of the same table
+    for n in range(2, 9):
+        session = CountingSession(n)
+        w0 = longest_element(n)
+        total = session.count(w0)
+        for k in range(min(4, length(w0)) + 1):
+            walked = _prefix_walk(session, w0, k)
+            assert sum(c for _, c in walked) == total, (n, k)
+            for v, c in walked:
+                assert Fraction(c, total) == session.prefix_probability(w0, v)
+    # w0(10), whose table takes 0.9 s to fill, is walked in CI: 9, 72, 520
+    # and 3,458 prefixes of 1 to 4 letters
+
+
+def test_a_session_checks_every_w_but_the_last(monkeypatch):
+    calls = []
+
+    def counted(f):
+        def wrapper(*args):
+            calls.append(f.__name__)
+            return f(*args)
+
+        return wrapper
+
+    for name in ("check_permutation", "_inversion_code"):
+        monkeypatch.setattr(longword.words, name, counted(getattr(longword.words, name)))
+    with pytest.raises(ValueError):  # a fresh session keeps no w for any tuple to match
+        CountingSession(1).count((-1,))
+    assert CountingSession(0).count(()) == 1
+    calls.clear()
+    session = CountingSession(4)
+    w0 = longest_element(4)
+    for _ in range(3):  # the strip of a query works on a copy of the kept code
+        assert session.prefix_probability(w0, (1, 2)) == Fraction(3, 16)
+        assert session.count(list(w0)) == 16
+    assert calls == ["check_permutation", "_inversion_code"]
+    assert session.count((4, 2, 1, 3)) == 3  # another permutation gets its own answer
+    assert session.prefix_probability((4, 2, 1, 3), (3,)) == Fraction(2, 3)
+    assert session.prefix_probability(w0, (1,)) == Fraction(5, 16)
+    for bad in ((4, 3, 2, 2), (4.0, 3.0, 2.0, 1.0), (4, 3, 2, True), (3, 2, 1), (5, 4, 3, 2, 1)):
+        with pytest.raises(ValueError):  # equal to w0 or not, a non-permutation is refused
+            session.count(bad)
+        with pytest.raises(ValueError):
+            session.prefix_probability(bad, ())
+    read = []
+
+    def letters():
+        for v in w0:
+            read.append(v)
+            yield v
+
+    assert session.count(letters()) == 16 and read == list(w0)
+    assert session.prefix_probability(letters(), (3, 2)) == Fraction(3, 16)
+    assert read == list(w0) * 2
 
 
 def test_stanley_count_for_every_vexillary_degree_five():
