@@ -185,13 +185,13 @@ def monte_carlo(
     indexed, generators are derived per index, and totals are exact
     integers.  The draws are pure Python, so threads would not run them
     faster; workers (an int of at least 1) and session are accepted for
-    compatibility and ignored.  A draw costs O(n^3), so trials above
-    TRIALS_CAP * (10 / max(n, 10))^3 (37 at n = 300) are refused with
-    ResourceCapError before any draw; the first trial refuses n > DEGREE_CAP
-    the same way, and a seed that is not an int64 with ValueError, as it
-    does a degree below 2, trials or workers below 1, or any not an int.
+    compatibility and ignored.  A draw costs O(n^3), so n > DEGREE_CAP,
+    and then trials above TRIALS_CAP * (10 / max(n, 10))^3 (37 at
+    n = 300), are refused with ResourceCapError before any draw.  A degree
+    below 2, trials or workers below 1, or any not an int is refused with
+    ValueError, and so is a seed that is not an int64, at the first trial.
     """
-    check_int(n, 2)
+    check_cap(check_int(n, 2), DEGREE_CAP, "sampler degree")
     check_int(trials, name="trials")
     check_cap(trials, TRIALS_CAP * 10**3 // max(n, 10) ** 3, f"at degree {n}, trials")
     check_int(workers, name="workers")

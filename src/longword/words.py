@@ -119,6 +119,10 @@ class WordStats:
 def word_stats(letters: Sequence[int]) -> WordStats:
     """Count adjacent commuting/noncommuting pairs and braid windows.
 
+    One pass over the differences d = i_{k+1} - i_k: d = +1 or -1 is an
+    ascending or descending pair, and also closes a braid window when the
+    previous difference was -d; any other d is a commutation.
+
     Raises ValueError when letters is not a sequence or holds a letter
     that is not an int (a float, a bool or a string is refused).
 
@@ -129,21 +133,19 @@ def word_stats(letters: Sequence[int]) -> WordStats:
     if not {*map(type, letters)} <= {int}:
         k, i = next((k, i) for k, i in enumerate(letters, start=1) if type(i) is not int)
         raise ValueError(f"letter {i!r} at position {k} is not an int")
-    comm = nonc = asc = desc = braids = 0
+    comm = asc = desc = braids = last = 0
     for a, b in zip(letters, letters[1:]):
         d = b - a
         if d == 1:
-            nonc += 1
             asc += 1
+            braids += last == -1
         elif d == -1:
-            nonc += 1
             desc += 1
+            braids += last == 1
         else:
             comm += 1
-    for a, b, c in zip(letters, letters[1:], letters[2:]):
-        if a == c and abs(a - b) == 1:
-            braids += 1
-    return WordStats(comm, nonc, braids, asc, desc)
+        last = d
+    return WordStats(comm, asc + desc, braids, asc, desc)
 
 
 def _rank(d: Sequence[int]) -> int:
@@ -357,8 +359,10 @@ def prefix_probability(w: Sequence[int], prefix: Sequence[int]) -> Fraction:
 def enumerate_words(w: Sequence[int]) -> Iterator[Word]:
     """All reduced words of w in lexicographic order, each exactly once.
 
-    Refuses with ResourceCapError when the exact count exceeds
-    MAX_ENUMERATED_WORDS, when called and before yielding anything.  The
+    Refuses with ResourceCapError, when called and before yielding
+    anything, when the exact count exceeds MAX_ENUMERATED_WORDS, or when
+    the window of moved positions is wider than DP_CAP, whatever its count:
+    (2, 3, ..., 11, 1) has one word and is refused.  The
     words of w use only the letters lo..hi - 1 between the first and last
     positions lo, hi that w moves, so the count comes from the table of
     that window, standardized, of degree hi - lo + 1, and the words from

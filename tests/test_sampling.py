@@ -370,7 +370,7 @@ def test_oversized_degree_is_refused_up_front():
     started = time.perf_counter()
     with pytest.raises(ResourceCapError):
         sample_word(10**5, trial_generator(0, 0))
-    with pytest.raises(ResourceCapError):
+    with pytest.raises(ResourceCapError, match=r"sampler degree 100000 is above the cap of 300"):
         monte_carlo(10**5, 10, seed=0)
     with pytest.raises(ResourceCapError):
         sample_word(DEGREE_CAP + 1, trial_generator(0, 0))

@@ -36,6 +36,7 @@ from longword.words import (
     evaluate,
     prefix_probability,
     rotate,
+    WordStats,
     word_stats,
     _strip_pairs,
     _tail_kernel,
@@ -66,6 +67,25 @@ def test_evaluate_rejects_bad_letters():
         evaluate(0, ())
 
 
+def two_loop_word_stats(letters):
+    """Reference word_stats: pairs in one loop, braid windows (a, b, a) in a second."""
+    comm = nonc = asc = desc = braids = 0
+    for a, b in zip(letters, letters[1:]):
+        d = b - a
+        if d == 1:
+            nonc += 1
+            asc += 1
+        elif d == -1:
+            nonc += 1
+            desc += 1
+        else:
+            comm += 1
+    for a, b, c in zip(letters, letters[1:], letters[2:]):
+        if a == c and abs(a - b) == 1:
+            braids += 1
+    return WordStats(comm, nonc, braids, asc, desc)
+
+
 def test_word_stats_examples():
     stats = word_stats((1, 2, 1))
     assert (stats.commutations, stats.noncommuting, stats.braids) == (0, 2, 1)
@@ -73,6 +93,24 @@ def test_word_stats_examples():
     assert (stats.commutations, stats.noncommuting, stats.braids) == (1, 4, 1)
     assert word_stats((1, 3)).commutations == 1
     assert word_stats(()) == word_stats((2,))
+    # overlapping windows, a repeat, and a jump back to the same letter
+    assert word_stats((1, 2, 1, 2, 1)) == WordStats(0, 4, 3, 2, 2)
+    assert word_stats((3, 3, 2, 3)) == WordStats(1, 2, 1, 1, 1)
+    assert word_stats((3, 1, 3)).braids == 0
+
+
+@given(st.lists(st.integers(-3, 12), max_size=30))
+def test_word_stats_equals_the_two_loop_reference(letters):
+    assert word_stats(letters) == two_loop_word_stats(letters)
+
+
+def test_word_stats_equals_the_two_loop_reference_up_to_w0_five(words_of_longest):
+    # every word of w0(6) is checked in CI
+    for n, size in zip(range(1, 6), (1, 1, 2, 16, 768)):
+        words = words_of_longest(n)
+        assert len(words) == size
+        for word in words:
+            assert word_stats(word) == two_loop_word_stats(word)
 
 
 @given(st.lists(st.integers(1, 6), max_size=30))
@@ -302,6 +340,12 @@ def test_enumerate_words_counts_on_the_moved_window():
     shifted = (tuple(i + lo for i in word) for word in enumerate_words(longest_element(6)))
     assert all(a == b for a, b in zip_longest(enumerate_words(w), shifted))
     assert time.perf_counter() - started < 5
+
+
+def test_enumerate_words_refuses_a_moved_window_past_the_table_cap():
+    # one word, but the window 1..11 is counted by a table of degree 11
+    with pytest.raises(ResourceCapError, match=r"word-count table degree 11 is above the cap of 10"):
+        enumerate_words((2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 1))
 
 
 def test_deep_permutation_is_refused_up_front():
