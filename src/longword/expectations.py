@@ -51,10 +51,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from math import factorial
+from typing import NamedTuple
 
 from .permutations import check_cap, check_int, longest_element
 from .walk import _walk_totals
@@ -296,21 +296,25 @@ def proportions(n: int) -> tuple[float, float, float]:
     return (1.0, 2 * ASYMPTOTIC_COEFFICIENT / n, 2 / n**2)
 
 
-@dataclass(frozen=True)
-class ExpectationReport:
-    """Expectations for one degree, with the method that produced them.
-
-    Exact fields are None when the degree is beyond the exact cap and
-    only the floating path was evaluated.
-    """
-
+class _ExpectationReportFields(NamedTuple):
     n: int
     e_commutations: Fraction | None
     e_noncommuting: Fraction | None
     method: str
     float_value: float
 
-    def __post_init__(self):
+
+class ExpectationReport(_ExpectationReportFields):
+    """Expectations for one degree, with the method that produced them.
+
+    Exact fields are None when the degree is beyond the exact cap and
+    only the floating path was evaluated.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if (self.e_commutations is None) != (self.e_noncommuting is None):
             raise ValueError("exact fields must be present or absent together")
         if self.e_commutations is not None:
@@ -319,6 +323,15 @@ class ExpectationReport:
                 raise ValueError(
                     f"expectations for n={self.n} do not sum to {ell - 1}"
                 )
+        return self
+
+    # lets inspect.signature and help() show the fields, not *args
+    __new__.__wrapped__ = _ExpectationReportFields.__new__
+
+    @classmethod
+    def _make(cls, iterable):
+        # the inherited _make, and so _replace, would skip the check in __new__
+        return cls(*iterable)
 
 
 def expectation_report(n: int, method: str = "closed_form") -> ExpectationReport:

@@ -31,9 +31,8 @@ import math
 import random
 import struct
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .permutations import check_cap, check_int
 from .words import Word, word_stats
@@ -132,15 +131,7 @@ def sample_word(n: int, rng: random.Random, session: object = None) -> Word:
     return _insertion_word(n, _hook_walk(n, rng))
 
 
-@dataclass(frozen=True)
-class SampleSummary:
-    """Aggregated Monte Carlo estimates for one (n, trials, seed) run.
-
-    Totals are exact integers; means and standard errors are derived
-    from them at the end.  Standard errors use the unbiased sample
-    variance and are NaN when trials == 1.
-    """
-
+class _SampleSummaryFields(NamedTuple):
     n: int
     trials: int
     seed: int
@@ -155,13 +146,34 @@ class SampleSummary:
     total_noncommuting: int
     total_braids: int
 
-    def __post_init__(self):
+
+class SampleSummary(_SampleSummaryFields):
+    """Aggregated Monte Carlo estimates for one (n, trials, seed) run.
+
+    Totals are exact integers; means and standard errors are derived
+    from them at the end.  Standard errors use the unbiased sample
+    variance and are NaN when trials == 1.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         expected = self.trials * (self.word_length - 1)
         if self.total_commutations + self.total_noncommuting != expected:
             raise ValueError(
                 f"totals {self.total_commutations} + {self.total_noncommuting} "
                 f"do not sum to trials * (length - 1) = {expected}"
             )
+        return self
+
+    # lets inspect.signature and help() show the fields, not *args
+    __new__.__wrapped__ = _SampleSummaryFields.__new__
+
+    @classmethod
+    def _make(cls, iterable):
+        # the inherited _make, and so _replace, would skip the check in __new__
+        return cls(*iterable)
 
 
 def _mean_and_se(total: int, total_sq: int, trials: int) -> tuple[float, float]:

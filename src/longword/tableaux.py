@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .permutations import Shape, check_cap, check_int, check_sequence
 
@@ -71,8 +70,7 @@ def delete_corners(shape: Shape, rows: tuple[int, int]) -> Shape:
     return check_partition(out)
 
 
-@dataclass(frozen=True)
-class HookGrid:
+class HookGrid(NamedTuple):
     """Per-cell hook lengths of a shape, row by row."""
 
     shape: Shape

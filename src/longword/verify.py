@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import expectations as ex
 from .permutations import check_int, is_vexillary, longest_element, shape_of, two_step_lowering
@@ -26,8 +26,7 @@ MIN_N = 3
 MAX_N = 10
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """One check's verdict; seconds is the wall time spent draining its legs.
 
     It includes each shared enumeration pass the check is the first to ask

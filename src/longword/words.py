@@ -14,11 +14,10 @@ from __future__ import annotations
 import functools
 import operator
 import weakref
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product, repeat
 from math import factorial
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .permutations import (
     Permutation,
@@ -98,8 +97,7 @@ def evaluate(n: int, letters: Sequence[int]) -> Permutation:
     return tuple(w)
 
 
-@dataclass(frozen=True)
-class WordStats:
+class WordStats(NamedTuple):
     """Adjacent-pair and windowed move counts for one word.
 
     commutations counts positions k with |i_k - i_{k+1}| > 1,

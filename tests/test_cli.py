@@ -1,4 +1,3 @@
-import dataclasses
 import doctest
 import hashlib
 import itertools
@@ -511,7 +510,7 @@ def _walk_skipping_last_descent(true_walk):
 def _braids_counted_twice(true_stats):
     def stats(letters):
         counted = true_stats(letters)
-        return dataclasses.replace(counted, braids=2 * counted.braids)
+        return counted._replace(braids=2 * counted.braids)
 
     return stats
 

@@ -26,10 +26,14 @@ Exclusions, named here so that nothing is skipped silently:
 - the O(n) builders (BUILDERS): their output has n entries by design and
   they have no cap, so a degree of 10**400 raises `OverflowError`, the
   one documented exception at that value.
+
+The five records are named tuples whose fields, in order, are pinned by
+RECORD_FIELDS.
 """
 
 import importlib
 import inspect
+import pickle
 import random
 import time
 import types
@@ -124,6 +128,27 @@ RECORDS_AND_EXCEPTIONS = {
     "WordStats",
     "NotReducedError",
     "ResourceCapError",
+}
+RECORD_FIELDS = {
+    "CheckResult": ("name", "passed", "detail", "seconds"),
+    "ExpectationReport": ("n", "e_commutations", "e_noncommuting", "method", "float_value"),
+    "HookGrid": ("shape", "hooks"),
+    "SampleSummary": (
+        "n",
+        "trials",
+        "seed",
+        "word_length",
+        "mean_commutations",
+        "se_commutations",
+        "mean_noncommuting",
+        "se_noncommuting",
+        "mean_braids",
+        "se_braids",
+        "total_commutations",
+        "total_noncommuting",
+        "total_braids",
+    ),
+    "WordStats": ("commutations", "noncommuting", "braids", "ascending_pairs", "descending_pairs"),
 }
 
 # Valid keyword arguments of public callables outside the namespace, by
@@ -276,3 +301,22 @@ def test_a_refusal_names_the_argument(call, message):
     with pytest.raises(ValueError) as refused:
         call()
     assert str(refused.value) == message
+
+
+def test_records_are_named_tuples_of_pinned_fields():
+    records = [
+        longword.CheckResult("check", True, "ok", 0.5),
+        longword.expectation_report(5),
+        longword.hook_grid((2, 1)),
+        longword.monte_carlo(4, 3, 1),
+        longword.word_stats((1, 2, 1)),
+    ]
+    assert {type(r).__name__ for r in records} == set(RECORD_FIELDS) < RECORDS_AND_EXCEPTIONS
+    for record in records:
+        name = type(record).__name__
+        assert record._fields == RECORD_FIELDS[name]
+        assert tuple(inspect.signature(type(record)).parameters) == RECORD_FIELDS[name]
+        assert record == tuple(getattr(record, field) for field in RECORD_FIELDS[name])
+        assert repr(record).startswith(f"{name}({RECORD_FIELDS[name][0]}=")
+        copy = pickle.loads(pickle.dumps(record))
+        assert type(copy) is type(record) and copy == record

@@ -1,4 +1,5 @@
 import math
+import pickle
 import time
 from fractions import Fraction
 
@@ -386,6 +387,22 @@ def test_expectation_report_validates():
         expectation_report(4, "guess")
     with pytest.raises(ValueError):
         expectation_report(1)
+
+
+def test_expectation_report_checks_every_construction():
+    report = expectation_report(5, "dp")
+    bad = (*report[:2], report.e_noncommuting + 1, *report[3:])
+    for build in (
+        lambda: ExpectationReport(*bad),
+        lambda: ExpectationReport._make(bad),
+        lambda: report._replace(e_noncommuting=bad[2]),
+    ):
+        with pytest.raises(ValueError, match="do not sum to 9"):
+            build()
+    with pytest.raises(ValueError, match="present or absent together"):
+        report._replace(e_commutations=None)
+    copy = pickle.loads(pickle.dumps(report))
+    assert type(copy) is ExpectationReport and copy == report
 
 
 @pytest.mark.parametrize(

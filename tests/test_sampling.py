@@ -1,5 +1,6 @@
 import hashlib
 import math
+import pickle
 import random
 import time
 
@@ -173,6 +174,20 @@ def test_sample_summary_validates_totals():
             total_noncommuting=2,
             total_braids=2,
         )
+
+
+def test_sample_summary_checks_every_construction():
+    summary = monte_carlo(4, 3, 1)
+    bad = (*summary[:10], summary.total_commutations + 1, *summary[11:])
+    for build in (
+        lambda: SampleSummary(*bad),
+        lambda: SampleSummary._make(bad),
+        lambda: summary._replace(total_commutations=bad[10]),
+    ):
+        with pytest.raises(ValueError, match="do not sum to trials"):
+            build()
+    copy = pickle.loads(pickle.dumps(summary))
+    assert type(copy) is SampleSummary and copy == summary
 
 
 def test_chi_square_threshold_matches_distribution_quantile():
