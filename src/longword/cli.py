@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import argparse
-import csv
+import json
+import math
 import sys
 from typing import Iterable, Iterator
 
@@ -21,14 +22,13 @@ from .expectations import (
     proportions,
 )
 from .permutations import ResourceCapError, check_cap, check_int, longest_element
-from .render import float_text, json_object, sample_json
-from .sampling import DEGREE_CAP, TRIALS_CAP, monte_carlo
+from .sampling import DEGREE_CAP, TRIALS_CAP, SampleSummary, monte_carlo
 from .tableaux import hook_length_count, staircase
 from .words import DP_CAP, count_words
 
 TABLE_EXACT_CAP = 10
-# Rows are written as they are built: the 10^5 rows 3..100002 took 1.0-1.2 s
-# as csv and 1.6-1.8 s as json, with a 20 MiB process peak in both formats,
+# Rows are written as they are built: the 10^5 rows 3..100002 took 0.7-1.2 s
+# as csv and 1.3-2.0 s as json, with a 19 MiB process peak in both formats,
 # what the import alone takes (2 CPUs).  The cap bounds the time of a table
 # and refuses a longer range before any row is built.
 TABLE_ROWS_CAP = 10**5
@@ -38,7 +38,12 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-CSV_HEADER = "n,word_count,ec_num,ec_den,ec_float,noncomm_float,asymp_noncomm_float"
+# the table's columns in order; the last one, braid_expectation, is json-only
+_TABLE_COLUMNS = (
+    "n", "word_count", "ec_num", "ec_den", "ec_float", "noncomm_float", "asymp_noncomm_float",
+    "braid_expectation",
+)
+CSV_HEADER = ",".join(_TABLE_COLUMNS[:-1])
 
 _CAPS_NOTE = (
     f"caps: count and dp require n <= {DP_CAP}, enumerate requires n <= {ENUMERATE_CAP}, "
@@ -48,6 +53,52 @@ _CAPS_NOTE = (
     f"n <= {ASYMPTOTIC_CAP:.6g}, a table has at most {TABLE_ROWS_CAP} rows, which "
     f"carry exact columns only for n <= {TABLE_EXACT_CAP}"
 )
+
+
+def float_text(x: float) -> str:
+    """17-significant-digit rendering; NaN and infinities as JSON-ish literals."""
+    if math.isnan(x):
+        return "NaN"
+    if math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
+    return format(x, ".17g")
+
+
+def json_object(pairs: Iterable[tuple[str, object]]) -> str:
+    """One-line JSON object with the given key order.
+
+    Values may be int, float (rendered via float_text), str, or None.
+    """
+    chunks = []
+    for key, value in pairs:
+        if value is None:
+            text = "null"
+        elif isinstance(value, int):
+            text = str(value)
+        elif isinstance(value, float):
+            text = float_text(value)
+        else:
+            text = json.dumps(value)
+        chunks.append(f"{json.dumps(key)}: {text}")
+    return "{" + ", ".join(chunks) + "}"
+
+
+def sample_json(summary: SampleSummary) -> str:
+    """Fixed-schema JSON line for one Monte Carlo summary."""
+    return json_object(
+        [
+            ("n", summary.n),
+            ("trials", summary.trials),
+            ("seed", summary.seed),
+            ("mean_commutations", summary.mean_commutations),
+            ("se_commutations", summary.se_commutations),
+            ("mean_noncommuting", summary.mean_noncommuting),
+            ("se_noncommuting", summary.se_noncommuting),
+            ("mean_braids", summary.mean_braids),
+            ("se_braids", summary.se_braids),
+            ("word_length", summary.word_length),
+        ]
+    )
 
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -94,44 +145,33 @@ def cmd_sample(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _table_rows(first: int, last: int) -> Iterator[list[tuple[str, object]]]:
-    """Yield the rows first..last; one run of _closed_forms gives every mean."""
+def _table_rows(first: int, last: int) -> Iterator[tuple[object, ...]]:
+    """Yield rows first..last as _TABLE_COLUMNS values; one run of _closed_forms gives every mean."""
     for n, (_, ec, nonc_float, ec_float) in zip(range(first, last + 1), _closed_forms(first)):
         word_count = ec_num = ec_den = None
         if n <= TABLE_EXACT_CAP:
             word_count = str(hook_length_count(staircase(n)))
             ec_num, ec_den = str(ec.numerator), str(ec.denominator)
-        yield [
-            ("n", n),
-            ("word_count", word_count),
-            ("ec_num", ec_num),
-            ("ec_den", ec_den),
-            ("ec_float", ec_float),
-            ("noncomm_float", nonc_float),
-            ("asymp_noncomm_float", asymptotic_noncommuting(n)),
-            ("braid_expectation", "1"),
-        ]
+        yield (n, word_count, ec_num, ec_den, ec_float, nonc_float, asymptotic_noncommuting(n), "1")
 
 
-def _write_table(rows: Iterable[list[tuple[str, object]]], fmt: str, stream) -> None:
+def _write_table(rows: Iterable[tuple[object, ...]], fmt: str, stream) -> None:
     """Write each row as it comes, so memory does not grow with the row count."""
     if fmt == "csv":
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(CSV_HEADER.split(","))
-        for row in rows:
-            cells = []
-            for key, value in row[:-1]:  # braid_expectation is json-only
-                if value is None:
-                    cells.append("")
-                elif isinstance(value, float):
-                    cells.append(float_text(value))
-                else:
-                    cells.append(str(value))
-            writer.writerow(cells)
+        # every cell is an int, a float_text decimal or empty, so none needs quoting
+        stream.write(CSV_HEADER + "\n")
+        for values in rows:
+            cells = (
+                "" if value is None
+                else float_text(value) if isinstance(value, float)
+                else str(value)
+                for value in values[:-1]
+            )
+            stream.write(",".join(cells) + "\n")
     else:
         separator = "[\n  "
-        for row in rows:
-            stream.write(separator + json_object(row))
+        for values in rows:
+            stream.write(separator + json_object(zip(_TABLE_COLUMNS, values)))
             separator = ",\n  "
         stream.write("\n]\n")
 
@@ -146,7 +186,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     if args.out is None:
         _write_table(rows, args.format, sys.stdout)
         return EXIT_OK
-    try:
+    try:  # newline="": "\n" is written as is on every platform
         with open(args.out, "w", encoding="utf-8", newline="") as stream:
             _write_table(rows, args.format, stream)
     except OSError as exc:

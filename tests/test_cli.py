@@ -17,7 +17,7 @@ import longword.expectations
 import longword.verify
 import longword.walk
 import longword.words
-from longword.cli import _CAPS_NOTE, CSV_HEADER, TABLE_ROWS_CAP, main
+from longword.cli import _CAPS_NOTE, CSV_HEADER, TABLE_ROWS_CAP, float_text, main
 from longword.expectations import (
     ASYMPTOTIC_COEFFICIENT,
     EXACT_CLOSED_CAP,
@@ -28,7 +28,6 @@ from longword.expectations import (
     expected_noncommuting_float,
 )
 from longword.permutations import longest_element
-from longword.render import float_text
 from longword.sampling import DEGREE_CAP, TRIALS_CAP, sample_word
 from longword.tableaux import hook_length_count
 from longword.words import enumerate_words
@@ -292,12 +291,15 @@ def test_caps_note_is_pinned():
     )
 
 
-def test_table_writes_file(tmp_path, capsys):
-    path = tmp_path / "rows.csv"
-    code, out, _ = run_cli(capsys, "table", "--from", "3", "--to", "4", "--out", str(path))
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_writes_file(tmp_path, capsys, fmt):
+    # bytes, not read_text, so that a "\r\n" written to the file would show
+    path = tmp_path / f"rows.{fmt}"
+    args = ("table", "--from", "3", "--to", "4", "--format", fmt)
+    code, out, _ = run_cli(capsys, *args, "--out", str(path))
     assert code == 0 and out == ""
-    stdout_version = run_cli(capsys, "table", "--from", "3", "--to", "4")[1]
-    assert path.read_text(encoding="utf-8") == stdout_version
+    stdout_version = run_cli(capsys, *args)[1]
+    assert path.read_bytes() == stdout_version.encode("utf-8")
 
 
 def test_table_past_float_cap_writes_nothing(tmp_path, capsys):

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from longword.cli import sample_json
 from longword.expectations import (
     expected_braids,
     expected_commutations,
@@ -13,7 +14,6 @@ from longword.expectations import (
     proportions,
 )
 from longword.permutations import longest_element
-from longword.render import sample_json
 from longword.sampling import (
     DEGREE_CAP,
     TRIALS_CAP,
